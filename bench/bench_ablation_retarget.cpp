@@ -38,7 +38,7 @@ int main() {
     CompilerSpec spec;
     spec.wstore = 8192;
     spec.precision = precision_int8();
-    spec.conditions.supply_v = tech.nominal_supply_v();
+    spec.eval.conditions.supply_v = tech.nominal_supply_v();
     spec.generate_rtl = false;
     spec.generate_layout = false;
     spec.dse.seed = 13;

@@ -110,84 +110,36 @@ void BM_SweepShardedAndMerged(benchmark::State& state) {
   std::filesystem::remove(base);
 }
 
-/// Shared fixture for the resume benchmarks: a completed >= 10k-cell
-/// checkpoint (1250 wstores x 8 precisions; most cells have an empty design
-/// space, which still costs a checkpoint line and an index entry) built
-/// once, plus the reference CSV a correct resume must reproduce.  The grid
-/// uses a tiny GA so the one-time build is seconds, not hours — resume cost
-/// is parse cost, independent of how the cells were originally computed.
-struct ResumeFixture {
-  SweepSpec spec;
-  std::string csv;
-  std::uintmax_t ckpt_bytes = 0;
-};
-
-const ResumeFixture& resume_fixture() {
-  static const ResumeFixture fixture = [] {
-    ResumeFixture f;
-    for (int i = 0; i < 1250; ++i) f.spec.wstores.push_back(1024 + 8 * i);
-    f.spec.precisions = {precision_int2(),     precision_int4(),
-                         precision_int8(),     precision_int16(),
-                         precision_fp8_e4m3(), precision_fp16(),
-                         precision_bf16(),     precision_fp32()};
-    f.spec.dse.population = 8;
-    f.spec.dse.generations = 1;
-    f.spec.dse.seed = 42;
-    f.spec.checkpoint = (std::filesystem::temp_directory_path() /
-                         "sega_bench_resume.ckpt.jsonl")
-                            .string();
-    std::filesystem::remove(f.spec.checkpoint);
-    std::filesystem::remove(index_file_path(f.spec.checkpoint));
-    const Compiler compiler(Technology::tsmc28());
-    f.csv = run_sweep(compiler, f.spec).to_csv();
-    f.ckpt_bytes = std::filesystem::file_size(f.spec.checkpoint);
-    return f;
+/// Resume of a completed >= 10k-cell checkpoint (1250 wstores x 8
+/// precisions; most cells have an empty design space, which still costs a
+/// checkpoint line) built once: every iteration JSON-parses every cell
+/// line, recovers the whole grid and computes nothing.  The grid uses a
+/// tiny GA so the one-time build is seconds, not hours — resume cost is
+/// parse cost, independent of how the cells were originally computed.
+void BM_SweepResume(benchmark::State& state) {
+  static const SweepSpec spec = [] {
+    SweepSpec s;
+    for (int i = 0; i < 1250; ++i) s.wstores.push_back(1024 + 8 * i);
+    s.precisions = {precision_int2(),     precision_int4(),
+                    precision_int8(),     precision_int16(),
+                    precision_fp8_e4m3(), precision_fp16(),
+                    precision_bf16(),     precision_fp32()};
+    s.dse.population = 8;
+    s.dse.generations = 1;
+    s.dse.seed = 42;
+    s.checkpoint = (std::filesystem::temp_directory_path() /
+                    "sega_bench_resume.ckpt.jsonl")
+                       .string();
+    std::filesystem::remove(s.checkpoint);
+    run_sweep(Compiler(Technology::tsmc28()), s);
+    return s;
   }();
-  return fixture;
-}
-
-/// Resume of the complete checkpoint through the index-segment fast path:
-/// token-split the .idx, seek past the covered bytes, JSON-parse nothing.
-void BM_SweepResumeIndexed(benchmark::State& state) {
-  const ResumeFixture& f = resume_fixture();
   const Compiler compiler(Technology::tsmc28());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(run_sweep(compiler, f.spec));
+    benchmark::DoNotOptimize(run_sweep(compiler, spec));
   }
-  state.counters["cells"] = static_cast<double>(
-      f.spec.wstores.size() * f.spec.precisions.size());
-}
-
-/// The same resume with the index deleted first: the full JSONL parse
-/// fallback.  The Indexed/Unindexed ratio is the price of losing the .idx.
-void BM_SweepResumeUnindexed(benchmark::State& state) {
-  const ResumeFixture& f = resume_fixture();
-  const Compiler compiler(Technology::tsmc28());
-  for (auto _ : state) {
-    // The completion snapshot rewrites the index; drop it every iteration
-    // so each resume takes the fallback path.
-    std::filesystem::remove(index_file_path(f.spec.checkpoint));
-    benchmark::DoNotOptimize(run_sweep(compiler, f.spec));
-  }
-}
-
-/// Indexed resume with the contract asserted per iteration: the CSV matches
-/// the run that built the checkpoint, and zero cells were re-evaluated (a
-/// recomputed cell would append its line and grow the file).
-void BM_SweepResumeIndexedChecked(benchmark::State& state) {
-  const ResumeFixture& f = resume_fixture();
-  const Compiler compiler(Technology::tsmc28());
-  for (auto _ : state) {
-    const SweepResult resumed = run_sweep(compiler, f.spec);
-    if (resumed.to_csv() != f.csv) {
-      state.SkipWithError("indexed resume CSV mismatch");
-      return;
-    }
-    if (std::filesystem::file_size(f.spec.checkpoint) != f.ckpt_bytes) {
-      state.SkipWithError("indexed resume re-evaluated cells");
-      return;
-    }
-  }
+  state.counters["cells"] =
+      static_cast<double>(spec.wstores.size() * spec.precisions.size());
 }
 
 /// The raw scheduler: work-stealing deques versus the shared-counter
@@ -244,9 +196,7 @@ BENCHMARK(BM_SweepGridCheckpointed)->Arg(1)->Arg(8)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SweepShardedAndMerged)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_SweepResumeIndexed)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_SweepResumeUnindexed)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_SweepResumeIndexedChecked)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SweepResume)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ParallelForStealingSkewed)->Arg(1)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_NonDominatedSortEns)->Arg(256)->Arg(512)->Arg(1024)->Arg(2048);

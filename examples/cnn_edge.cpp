@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
   CompilerSpec spec;
   spec.wstore = cnn.recommended_wstore();
   spec.precision = cnn.precision;
-  spec.conditions.input_sparsity = 0.1;  // ReLU-induced zeros
+  spec.eval.conditions.input_sparsity = 0.1;  // ReLU-induced zeros
   spec.generate_rtl = false;
   spec.generate_layout = false;
   const CompilerResult result = compiler.run(spec);

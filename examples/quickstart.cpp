@@ -16,7 +16,7 @@ int main() {
   CompilerSpec spec;
   spec.wstore = 8192;
   spec.precision = precision_int8();
-  spec.conditions.supply_v = 0.9;
+  spec.eval.conditions.supply_v = 0.9;
   spec.distill = DistillPolicy::kKnee;  // let the compiler pick the knee
 
   // 3. Run: NSGA-II design-space exploration, distillation, generation.

@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
 
   const Compiler compiler(Technology::tsmc28());
   SweepSpec spec;
-  spec.conditions.input_sparsity = 0.1;  // the paper's Fig. 8 condition
+  spec.eval.conditions.input_sparsity = 0.1;  // the paper's Fig. 8 condition
   spec.dse.population = 48;
   spec.dse.generations = 32;
   spec.dse.seed = 42;

@@ -15,7 +15,10 @@ DesignSpace::DesignSpace(std::int64_t wstore, Precision precision,
       static_cast<std::uint64_t>(limits_.min_n_over_bw * bw));
   max_n_exp_ = ilog2(static_cast<std::uint64_t>(limits_.max_n));
   max_h_exp_ = ilog2(static_cast<std::uint64_t>(limits_.max_h));
-  SEGA_ENSURES(min_n_exp_ <= max_n_exp_);
+}
+
+bool DesignSpace::genome_range_empty() const {
+  return min_n_exp_ > max_n_exp_ || min_h_exp() > max_h_exp_;
 }
 
 std::int64_t DesignSpace::max_k() const { return precision_.input_bits(); }
@@ -60,6 +63,7 @@ std::vector<DesignPoint> DesignSpace::enumerate_all() const {
 
 std::optional<DesignPoint> DesignSpace::sample(Rng& rng,
                                                int max_attempts) const {
+  if (genome_range_empty()) return std::nullopt;
   for (int i = 0; i < max_attempts; ++i) {
     const int ne = static_cast<int>(rng.uniform_int(min_n_exp_, max_n_exp_));
     const int he = static_cast<int>(rng.uniform_int(min_h_exp(), max_h_exp_));

@@ -30,12 +30,15 @@ class DesignSpace {
   std::optional<DesignPoint> decode(int n_exp, int h_exp,
                                     std::int64_t k) const;
 
-  /// Inclusive genome bounds.
+  /// Inclusive genome bounds.  Limits tighter than the precision's minimum
+  /// N (or a max_h below 2) leave a bound range empty: genome_range_empty()
+  /// is then true and the space has no points.
   int min_n_exp() const { return min_n_exp_; }
   int max_n_exp() const { return max_n_exp_; }
   int min_h_exp() const { return 1; }
   int max_h_exp() const { return max_h_exp_; }
   std::int64_t max_k() const;
+  bool genome_range_empty() const;
 
   /// Exhaustive enumeration of every valid design point (ground truth for
   /// testing the GA; the per-spec domain is a few thousand points at most).

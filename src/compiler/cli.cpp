@@ -1,10 +1,6 @@
 #include "compiler/cli.h"
 
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -20,7 +16,6 @@
 #include "serve/server.h"
 #include "tech/techlib_parser.h"
 #include "util/strings.h"
-#include "util/threadpool.h"
 
 namespace sega {
 
@@ -40,8 +35,7 @@ constexpr const char* kUsage =
     "          [--calibration <file>] [--layout]\n"
     "  sweep   [--spec <sweep.json>] [--out <dir>] [--checkpoint <path>]\n"
     "          [--cache-file <path>] [--resume-summary] [--shard <i/N>]\n"
-    "          [--spawn-local <K>] [--heartbeat-every <k>]\n"
-    "          [--wstores <n,n,...>]\n"
+    "          [--heartbeat-every <k>] [--wstores <n,n,...>]\n"
     "          [--precisions <name,name,...>] [--sparsity <f>]\n"
     "          [--supply <v>] [--seed <n>] [--population <n>]\n"
     "          [--generations <n>] [--threads <n>] [--tech <file.techlib>]\n"
@@ -174,35 +168,21 @@ std::optional<Technology> load_technology(
   return tech;
 }
 
-/// Parse `--cost-model analytic|rtl` into *kind.  Absent flag leaves the
-/// spec's backend (possibly set via the spec file) untouched.
-bool parse_cost_model_flag(const std::map<std::string, std::string>& flags,
-                           CostModelKind* kind, std::ostream& err) {
-  const auto it = flags.find("cost-model");
-  if (it == flags.end()) return true;
-  const auto parsed = cost_model_kind_from_name(it->second);
-  if (!parsed) {
-    err << "unknown cost model '" << it->second
-        << "' (expected analytic or rtl)\n";
-    return false;
-  }
-  *kind = *parsed;
-  return true;
+/// Apply the evaluation-config flags (EvalConfig::apply_flags) to @p eval;
+/// false after writing the diagnostic.
+bool apply_eval_flags(const std::map<std::string, std::string>& flags,
+                      EvalConfig* eval, std::ostream& err) {
+  std::string flag_error;
+  if (eval->apply_flags(flags, &flag_error)) return true;
+  err << flag_error << "\n";
+  return false;
 }
 
-/// The host's shared cache for this spec's backend/conditions/calibration,
-/// when hooks provide one (daemon dispatch); null otherwise.  A non-null
-/// cache makes Compiler::run ignore spec.cache_file — the host owns
-/// persistence.  @p calibration_file must be the spec's calibration path
-/// ("" for uncalibrated): handing a calibrated run an uncalibrated shared
-/// cache (or vice versa) would silently evaluate the wrong model.
-CostCache* shared_cache_for(const CliHooks& hooks, CostModelKind kind,
-                            const EvalConditions& cond,
-                            const std::string& calibration_file,
-                            bool layout) {
-  return hooks.cache_for
-             ? hooks.cache_for(kind, cond, calibration_file, layout)
-             : nullptr;
+/// The host's shared cache for this evaluation config, when hooks provide
+/// one (daemon dispatch); null otherwise.  A non-null cache makes
+/// Compiler::run ignore spec.cache_file — the host owns persistence.
+CostCache* shared_cache_for(const CliHooks& hooks, const EvalConfig& eval) {
+  return hooks.cache_for ? hooks.cache_for(eval) : nullptr;
 }
 
 int cmd_compile(const std::map<std::string, std::string>& flags,
@@ -224,19 +204,12 @@ int cmd_compile(const std::map<std::string, std::string>& flags,
 
   CompilerSpec run_spec = *spec;
   if (flags.count("cache-file")) run_spec.cache_file = flags.at("cache-file");
-  if (flags.count("calibration")) {
-    run_spec.calibration_file = flags.at("calibration");
-  }
-  if (flags.count("layout")) run_spec.layout = true;
-  if (!parse_cost_model_flag(flags, &run_spec.cost_model, err)) return 2;
+  if (!apply_eval_flags(flags, &run_spec.eval, err)) return 2;
 
   const Compiler compiler(*tech);
   std::string run_err;
   const CompilerResult result = compiler.run(
-      run_spec,
-      shared_cache_for(hooks, run_spec.cost_model, run_spec.conditions,
-                       run_spec.calibration_file, run_spec.layout),
-      &run_err);
+      run_spec, shared_cache_for(hooks, run_spec.eval), &run_err);
   if (!run_err.empty()) {
     err << run_err << "\n";
     return 2;
@@ -277,18 +250,13 @@ int cmd_compile(const std::map<std::string, std::string>& flags,
   return 0;
 }
 
-/// The --sparsity/--supply/--seed/--population/--generations/--threads
-/// flags and their range validation, shared by explore and sweep.  The
-/// ranges mirror the explorer preconditions so a bad value is a diagnostic
-/// and exit 2, never a contract abort inside a pool worker.
+/// The --seed/--population/--generations/--threads flags and their range
+/// validation, shared by explore and sweep.  The ranges mirror the explorer
+/// preconditions so a bad value is a diagnostic and exit 2, never a
+/// contract abort inside a pool worker.
 bool parse_dse_flags(const std::map<std::string, std::string>& flags,
-                     EvalConditions* cond, Nsga2Options* dse,
-                     std::ostream& err) {
+                     Nsga2Options* dse, std::ostream& err) {
   try {
-    if (flags.count("sparsity"))
-      cond->input_sparsity = std::stod(flags.at("sparsity"));
-    if (flags.count("supply"))
-      cond->supply_v = std::stod(flags.at("supply"));
     if (flags.count("seed"))
       dse->seed = static_cast<std::uint64_t>(std::stoull(flags.at("seed")));
     if (flags.count("population"))
@@ -301,9 +269,7 @@ bool parse_dse_flags(const std::map<std::string, std::string>& flags,
     err << "bad numeric option value\n";
     return false;
   }
-  if (cond->input_sparsity < 0 || cond->input_sparsity >= 1 ||
-      cond->supply_v <= 0 || dse->population < 4 || dse->generations < 1 ||
-      dse->threads < 0) {
+  if (dse->population < 4 || dse->generations < 1 || dse->threads < 0) {
     err << "option value out of range\n";
     return false;
   }
@@ -329,7 +295,10 @@ int cmd_explore(const std::map<std::string, std::string>& flags,
     return 2;
   }
   spec.precision = *precision;
-  if (!parse_dse_flags(flags, &spec.conditions, &spec.dse, err)) return 2;
+  if (!parse_dse_flags(flags, &spec.dse, err) ||
+      !apply_eval_flags(flags, &spec.eval, err)) {
+    return 2;
+  }
   if (spec.wstore < 1) {
     err << "option value out of range\n";
     return 2;
@@ -337,21 +306,13 @@ int cmd_explore(const std::map<std::string, std::string>& flags,
   spec.generate_rtl = false;
   spec.generate_layout = false;
   if (flags.count("cache-file")) spec.cache_file = flags.at("cache-file");
-  if (flags.count("calibration")) {
-    spec.calibration_file = flags.at("calibration");
-  }
-  if (flags.count("layout")) spec.layout = true;
-  if (!parse_cost_model_flag(flags, &spec.cost_model, err)) return 2;
 
   const auto tech = load_technology(flags, hooks, err);
   if (!tech) return 2;
   const Compiler compiler(*tech);
   std::string run_err;
-  const CompilerResult result = compiler.run(
-      spec,
-      shared_cache_for(hooks, spec.cost_model, spec.conditions,
-                       spec.calibration_file, spec.layout),
-      &run_err);
+  const CompilerResult result =
+      compiler.run(spec, shared_cache_for(hooks, spec.eval), &run_err);
   if (!run_err.empty()) {
     err << run_err << "\n";
     return 2;
@@ -389,7 +350,8 @@ bool build_sweep_spec(const std::map<std::string, std::string>& flags,
     err << "bad numeric option value\n";
     return false;
   }
-  if (!parse_dse_flags(flags, &spec->conditions, &spec->dse, err)) {
+  if (!parse_dse_flags(flags, &spec->dse, err) ||
+      !apply_eval_flags(flags, &spec->eval, err)) {
     return false;
   }
   if (flags.count("precisions")) {
@@ -409,10 +371,6 @@ bool build_sweep_spec(const std::map<std::string, std::string>& flags,
   }
   if (flags.count("checkpoint")) spec->checkpoint = flags.at("checkpoint");
   if (flags.count("cache-file")) spec->cache_file = flags.at("cache-file");
-  if (flags.count("calibration")) {
-    spec->calibration_file = flags.at("calibration");
-  }
-  if (flags.count("layout")) spec->layout = true;
   if (flags.count("heartbeat-every")) {
     try {
       spec->heartbeat_every = std::stoi(flags.at("heartbeat-every"));
@@ -425,12 +383,11 @@ bool build_sweep_spec(const std::map<std::string, std::string>& flags,
       return false;
     }
     if (spec->heartbeat_every > 0 && spec->checkpoint.empty()) {
-      err << "--heartbeat-every requires --checkpoint (the heartbeat and "
-             "index files sit next to it)\n";
+      err << "--heartbeat-every requires --checkpoint (the heartbeat file "
+             "sits next to it)\n";
       return false;
     }
   }
-  if (!parse_cost_model_flag(flags, &spec->cost_model, err)) return false;
   if (spec->wstores.empty()) {
     err << "option value out of range\n";
     return false;
@@ -476,7 +433,7 @@ bool parse_shard_flag(const std::map<std::string, std::string>& flags,
 }
 
 /// Write sweep.json/sweep.csv under --out (when given) and the CSV to
-/// stdout — shared by sweep, sweep --spawn-local, and sweep-merge.
+/// stdout — shared by sweep, orchestrate, and sweep-merge.
 int write_sweep_outputs(const SweepResult& result,
                         const std::map<std::string, std::string>& flags,
                         std::ostream& out, std::ostream& err) {
@@ -503,113 +460,15 @@ int write_sweep_outputs(const SweepResult& result,
   return 0;
 }
 
-/// Fork K shard workers on this host (each computing its slice into its own
-/// checkpoint/memo shard), wait for all of them, then fan the shards back
-/// into the unified result — the zero-to-distributed path of a sweep on one
-/// machine.
-int run_spawn_local(const Compiler& compiler, const SweepSpec& spec,
-                    int workers,
-                    const std::map<std::string, std::string>& flags,
-                    std::ostream& out, std::ostream& err) {
-  std::vector<pid_t> children;
-  for (int i = 0; i < workers; ++i) {
-    const pid_t pid = ::fork();
-    if (pid < 0) {
-      err << "fork failed\n";
-      for (const pid_t child : children) {
-        int status = 0;
-        ::waitpid(child, &status, 0);
-      }
-      return 2;
-    }
-    if (pid == 0) {
-      // Worker process.  A positive thread count forces run_sweep to build
-      // a fresh pool: the parent's lazily created global pool object was
-      // inherited by fork but its worker threads were not, so it must never
-      // be touched here.  _Exit skips atexit/static destructors for the
-      // same reason (run_sweep has already flushed and closed its files).
-      SweepSpec worker = spec;
-      worker.shard = ShardSpec{};
-      worker.shard.index = i;
-      worker.shard.count = workers;
-      if (worker.dse.threads == 0) {
-        // Divide the host between the workers instead of oversubscribing it
-        // K-fold; an explicit --threads is per-worker and kept as given.
-        worker.dse.threads =
-            std::max(1, ThreadPool::default_threads() / workers);
-      }
-      std::string worker_error;
-      run_sweep(compiler, worker, &worker_error);
-      if (!worker_error.empty()) {
-        std::fprintf(stderr, "[sega] shard %d/%d: %s\n", i, workers,
-                     worker_error.c_str());
-        std::_Exit(2);
-      }
-      std::_Exit(0);
-    }
-    children.push_back(pid);
-  }
-  bool worker_failed = false;
-  for (int i = 0; i < workers; ++i) {
-    int status = 0;
-    pid_t waited;
-    do {
-      waited = ::waitpid(children[i], &status, 0);
-    } while (waited < 0 && errno == EINTR);
-    // A wait that failed outright (ECHILD — someone reaped the child first)
-    // must count as a worker failure: treating an unknown outcome as
-    // success would merge a possibly half-written shard.
-    if (waited != children[i] || !WIFEXITED(status) ||
-        WEXITSTATUS(status) != 0) {
-      err << strfmt("shard %d/%d worker failed\n", i, workers);
-      worker_failed = true;
-    }
-  }
-  if (worker_failed) return 2;
-  std::string merge_error;
-  const SweepResult merged =
-      merge_sweep_shards(compiler, spec, workers, &merge_error);
-  if (!merge_error.empty()) {
-    err << merge_error << "\n";
-    return 2;
-  }
-  return write_sweep_outputs(merged, flags, out, err);
-}
-
 /// The full §IV validation grid (or a subset), run on the parallel sweep
 /// engine with optional JSONL checkpoint/resume, optionally as one shard of
-/// an N-worker set (--shard) or as a K-process local fleet (--spawn-local).
+/// an N-worker set (--shard).
 /// CSV goes to stdout; --out additionally writes sweep.json and sweep.csv.
 int cmd_sweep(const std::map<std::string, std::string>& flags,
               std::ostream& out, std::ostream& err, const CliHooks& hooks) {
   SweepSpec spec;
   if (!build_sweep_spec(flags, &spec, err)) return 2;
   if (!parse_shard_flag(flags, &spec, err)) return 2;
-
-  int spawn_local = 0;
-  if (flags.count("spawn-local")) {
-    if (!parse_int_strict(flags.at("spawn-local"), &spawn_local)) {
-      err << "bad numeric option value\n";
-      return 2;
-    }
-    if (spawn_local < 1) {
-      err << "option value out of range\n";
-      return 2;
-    }
-    if (flags.count("shard") || spec.shard.active()) {
-      err << "--spawn-local and --shard are mutually exclusive\n";
-      return 2;
-    }
-    if (flags.count("resume-summary")) {
-      err << "--spawn-local and --resume-summary are mutually exclusive\n";
-      return 2;
-    }
-    if (spec.checkpoint.empty()) {
-      err << "--spawn-local requires --checkpoint (the shard files are the "
-             "fan-in)\n";
-      return 2;
-    }
-  }
 
   const auto tech = load_technology(flags, hooks, err);
   if (!tech) return 2;
@@ -632,13 +491,7 @@ int cmd_sweep(const std::map<std::string, std::string>& flags,
     return 0;
   }
 
-  if (spawn_local > 0) {
-    return run_spawn_local(compiler, spec, spawn_local, flags, out, err);
-  }
-
-  spec.shared_cache = shared_cache_for(hooks, spec.cost_model,
-                                       spec.conditions,
-                                       spec.calibration_file, spec.layout);
+  spec.shared_cache = shared_cache_for(hooks, spec.eval);
   spec.progress = hooks.sweep_progress;
   std::string sweep_err;
   const SweepResult result = run_sweep(compiler, spec, &sweep_err);
@@ -843,21 +696,16 @@ int cmd_validate(const std::map<std::string, std::string>& flags,
     }
     spec = *parsed;
   }
-  // Grid/DSE/path overrides share the sweep flag logic (--spec was already
-  // consumed as a *validate* spec above; --calibration belongs to the
-  // validate spec, not the inner knee DSE — see ValidateSpec).
+  // Grid/DSE/path/evaluation overrides share the sweep flag logic (--spec
+  // was already consumed as a *validate* spec above).  --calibration lands
+  // in spec.sweep.eval, which run_validate applies to the comparison only.
   std::map<std::string, std::string> grid_flags = flags;
   grid_flags.erase("spec");
-  grid_flags.erase("calibration");
-  grid_flags.erase("calibrate");
   if (!build_sweep_spec(grid_flags, &spec.sweep, err)) return 2;
   if (flags.count("calibrate") && flags.count("calibration")) {
     err << "--calibrate (fit a fresh artifact) and --calibration (compare "
            "under an existing one) are mutually exclusive\n";
     return 2;
-  }
-  if (flags.count("calibration")) {
-    spec.calibration_file = flags.at("calibration");
   }
   if (flags.count("tolerance")) {
     try {
@@ -883,14 +731,12 @@ int cmd_validate(const std::map<std::string, std::string>& flags,
   // *uncalibrated* stacks even under --calibration: the knee DSE always
   // runs uncalibrated (see ValidateSpec) and the RTL side is the
   // measurement itself.
-  spec.sweep.shared_cache = shared_cache_for(hooks, CostModelKind::kAnalytic,
-                                             spec.sweep.conditions,
-                                             /*calibration_file=*/"",
-                                             spec.sweep.layout);
-  spec.shared_rtl_cache = shared_cache_for(hooks, CostModelKind::kRtl,
-                                           spec.sweep.conditions,
-                                           /*calibration_file=*/"",
-                                           spec.sweep.layout);
+  EvalConfig knee_eval = spec.sweep.eval;
+  knee_eval.calibration_file.clear();
+  knee_eval.backend = CostModelKind::kAnalytic;
+  spec.sweep.shared_cache = shared_cache_for(hooks, knee_eval);
+  knee_eval.backend = CostModelKind::kRtl;
+  spec.shared_rtl_cache = shared_cache_for(hooks, knee_eval);
 
   // --calibrate: fit over the measured knees, save the artifact, and report
   // the before/after envelopes; the verdict (and exit code) judges the
@@ -1018,11 +864,10 @@ int run_cli_hooked(const std::vector<std::string>& args, std::ostream& out,
   if (command == "sweep") {
     if (!check_known(flags,
                      {"spec", "out", "checkpoint", "cache-file",
-                      "resume-summary", "shard", "spawn-local",
-                      "heartbeat-every", "wstores", "precisions", "sparsity",
-                      "supply", "seed", "population", "generations",
-                      "threads", "tech", "cost-model", "calibration",
-                      "layout"},
+                      "resume-summary", "shard", "heartbeat-every",
+                      "wstores", "precisions", "sparsity", "supply", "seed",
+                      "population", "generations", "threads", "tech",
+                      "cost-model", "calibration", "layout"},
                      err)) {
       return 2;
     }

@@ -19,7 +19,7 @@
 #include <string>
 #include <vector>
 
-#include "cost/cost_model.h"
+#include "cost/eval_config.h"
 #include "util/json.h"
 
 namespace sega {
@@ -39,17 +39,12 @@ struct CliHooks {
   /// not match the host's shared caches.
   const Technology* tech = nullptr;
 
-  /// Shared warm evaluation cache for (backend, conditions, calibration
-  /// artifact, layout toggle); may return null (the command then builds its
-  /// own — which is also how a bad artifact path surfaces its diagnostic).
-  /// The host keys its registry by exactly the tuple it is called with:
-  /// calibration_file is the request's --calibration path ("" for the
-  /// uncalibrated model), layout the request's --layout toggle — and
-  /// stacks differing in any element must never alias, their memo
-  /// fingerprints differ.
-  std::function<CostCache*(CostModelKind, const EvalConditions&,
-                           const std::string& calibration_file, bool layout)>
-      cache_for;
+  /// Shared warm evaluation cache for an evaluation config; may return null
+  /// (the command then builds its own — which is also how a bad artifact
+  /// path surfaces its diagnostic).  The host keys its registry by the
+  /// resolved config (EvalConfig::identity): configs resolving to different
+  /// models must never alias, their memo fingerprints differ.
+  std::function<CostCache*(const EvalConfig&)> cache_for;
 
   /// Streaming sink for completed sweep cells (SweepSpec::progress) — the
   /// daemon forwards each record as a progress line to the client.

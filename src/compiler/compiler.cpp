@@ -6,7 +6,6 @@
 #include <filesystem>
 #include <limits>
 
-#include "cost/calibrate.h"
 #include "cost/cost_cache.h"
 #include "util/assert.h"
 #include "util/strings.h"
@@ -132,51 +131,33 @@ CompilerResult Compiler::run(const CompilerSpec& spec) const {
 CompilerResult Compiler::run(const CompilerSpec& spec, CostCache* cache,
                              std::string* error) const {
   if (error) error->clear();
-  // A caller-provided cache carries its own model (the caller built it from
-  // the same spec — run_sweep does); otherwise a non-default backend, a
-  // persistent memo, or a calibration artifact needs a local cache wrapping
-  // the chosen model.
-  if (!cache && (!spec.cache_file.empty() ||
-                 !spec.calibration_file.empty() || spec.layout ||
-                 spec.cost_model != CostModelKind::kAnalytic)) {
-    std::shared_ptr<const Calibration> cal;
-    if (!spec.calibration_file.empty()) {
-      if (spec.cost_model != CostModelKind::kAnalytic) {
-        return compiler_fail(
-            "calibration_file only applies to the analytic cost model; the "
-            "rtl backend is the measurement it was fitted against",
-            error);
-      }
-      std::string cal_error;
-      auto loaded = load_calibration_for(spec.calibration_file, tech_,
-                                         spec.conditions, &cal_error);
-      if (!loaded) return compiler_fail(cal_error, error);
-      cal = std::make_shared<const Calibration>(std::move(*loaded));
-    }
-    CostCache local(make_cost_model(spec.cost_model, tech_, spec.conditions,
-                                    cal, spec.layout));
-    std::string cache_error;
-    std::error_code ec;
-    if (!spec.cache_file.empty() &&
-        std::filesystem::exists(spec.cache_file, ec) &&
-        !local.load(spec.cache_file, &cache_error)) {
-      return compiler_fail(cache_error, error);
-    }
-    CompilerResult result = run_impl(spec, &local);
-    // Non-fatal: the compilation is already done; a memo-write failure must
-    // not discard it.  The next run simply re-pays the evaluations.
-    if (!spec.cache_file.empty() &&
-        !local.save(spec.cache_file, &cache_error)) {
-      std::fprintf(stderr, "[sega] warning: %s (results unaffected)\n",
-                   cache_error.c_str());
-    }
-    return result;
+  // A caller-provided cache carries its own model (the caller resolved the
+  // same spec — run_sweep does); otherwise spec.eval resolves into a local
+  // cache, seeded from and saved back to spec.cache_file when one is set.
+  if (cache) return run_impl(spec, *cache);
+  std::string eval_error;
+  auto model = spec.eval.make_model(tech_, &eval_error);
+  if (!model) return compiler_fail(eval_error, error);
+  CostCache local(std::move(model));
+  std::string cache_error;
+  std::error_code ec;
+  if (!spec.cache_file.empty() &&
+      std::filesystem::exists(spec.cache_file, ec) &&
+      !local.load(spec.cache_file, &cache_error)) {
+    return compiler_fail(cache_error, error);
   }
-  return run_impl(spec, cache);
+  CompilerResult result = run_impl(spec, local);
+  // Non-fatal: the compilation is already done; a memo-write failure must
+  // not discard it.  The next run simply re-pays the evaluations.
+  if (!spec.cache_file.empty() && !local.save(spec.cache_file, &cache_error)) {
+    std::fprintf(stderr, "[sega] warning: %s (results unaffected)\n",
+                 cache_error.c_str());
+  }
+  return result;
 }
 
 CompilerResult Compiler::run_impl(const CompilerSpec& spec,
-                                  CostCache* cache) const {
+                                  CostCache& cache) const {
   CompilerResult result;
   result.spec = spec;
 
@@ -184,9 +165,7 @@ CompilerResult Compiler::run_impl(const CompilerSpec& spec,
   const auto dse_start = Clock::now();
   DesignSpace space(spec.wstore, spec.precision, spec.limits);
   result.pareto_front =
-      cache ? explore_nsga2(space, *cache, spec.dse, &result.dse_stats)
-            : explore_nsga2(space, tech_, spec.conditions, spec.dse,
-                            &result.dse_stats);
+      explore_nsga2(space, cache, spec.dse, &result.dse_stats);
   result.dse_seconds = seconds_since(dse_start);
 
   // --- user distillation ---

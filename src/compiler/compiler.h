@@ -53,13 +53,14 @@ class Compiler {
   CompilerResult run(const CompilerSpec& spec) const;
 
   /// Run the full pipeline with a shared memoizing cost cache (e.g. one
-  /// cache across every cell of a grid sweep).  @p cache must be bound to
-  /// this compiler's technology and to spec.conditions; when non-null it
-  /// takes precedence over spec.cache_file (the owner of a shared cache
-  /// decides when to persist it).  Thread-safe for concurrent calls sharing
-  /// one cache.  Cache-file load failures set *error and return an empty
-  /// result when @p error is non-null, and abort otherwise; save failures
-  /// warn on stderr and still return the result.
+  /// cache across every cell of a grid sweep).  @p cache must wrap the
+  /// model spec.eval resolves to over this compiler's technology; when
+  /// non-null it takes precedence over spec.eval and spec.cache_file (the
+  /// owner of a shared cache decides when to persist it).  Thread-safe for
+  /// concurrent calls sharing one cache.  Resolution and cache-file load
+  /// failures set *error and return an empty result when @p error is
+  /// non-null, and abort otherwise; save failures warn on stderr and still
+  /// return the result.
   CompilerResult run(const CompilerSpec& spec, CostCache* cache,
                      std::string* error = nullptr) const;
 
@@ -71,7 +72,7 @@ class Compiler {
       int max_selected);
 
  private:
-  CompilerResult run_impl(const CompilerSpec& spec, CostCache* cache) const;
+  CompilerResult run_impl(const CompilerSpec& spec, CostCache& cache) const;
 
   Technology tech_;
 };

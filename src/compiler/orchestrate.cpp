@@ -37,7 +37,7 @@ struct Slice {
 
 /// The worker's sweep spec for one slice: its shard identity, a heartbeat
 /// cadence the supervisor can watch, and its fair share of the host's
-/// threads (mirroring `sweep --spawn-local`).
+/// threads.
 SweepSpec slice_spec(const OrchestrateSpec& spec, int shard) {
   SweepSpec w = spec.sweep;
   w.shard = ShardSpec{};

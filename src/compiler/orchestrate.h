@@ -1,17 +1,16 @@
 // Supervised sweep orchestration — the fleet controller above run_sweep.
 //
 // `sega_dcim orchestrate` launches N sweep workers (one forked process per
-// `--shard i/N` slice, the run_spawn_local process model), then *supervises*
-// them instead of merely waiting: each worker appends heartbeat lines to
-// `<shard checkpoint>.hb` every K completed cells (SweepSpec::
-// heartbeat_every), and the supervisor polls worker exit status and
-// heartbeat file growth.  A worker that exits non-zero, dies on a signal,
-// or stops heartbeating for longer than the stall timeout (a wedged worker
-// is SIGKILLed first) is relaunched on its own slice after an exponential
-// backoff — and because every attempt resumes from the dead worker's shard
-// checkpoint (and its heartbeat-persisted memo delta and index segment),
-// a retry re-pays at most the cells completed since the last snapshot,
-// never the whole slice.  Once every slice completes, the shards are fanned
+// `--shard i/N` slice), then *supervises* them instead of merely waiting:
+// each worker appends heartbeat lines to `<shard checkpoint>.hb` every K
+// completed cells (SweepSpec::heartbeat_every), and the supervisor polls
+// worker exit status and heartbeat file growth.  A worker that exits
+// non-zero, dies on a signal, or stops heartbeating for longer than the
+// stall timeout (a wedged worker is SIGKILLed first) is relaunched on its
+// own slice after an exponential backoff — and because every attempt
+// resumes from the dead worker's shard checkpoint (and its
+// heartbeat-persisted memo delta), a retry re-pays at most the cells
+// completed since the last snapshot, never the whole slice.  Once every slice completes, the shards are fanned
 // into the unified result via merge_sweep_shards — byte-identical to an
 // unsharded run, crashes and all.
 //
@@ -37,8 +36,8 @@ struct OrchestrateSpec {
   /// are both the crash-recovery state and the merge fan-in); when
   /// `heartbeat_every` is 0 the orchestrator raises it to 1 so stall
   /// detection always has a signal.  `dse.threads` == 0 divides the host
-  /// between the workers (like `sweep --spawn-local`); an explicit count is
-  /// per-worker and kept as given.
+  /// between the workers instead of oversubscribing it K-fold; an explicit
+  /// count is per-worker and kept as given.
   SweepSpec sweep;
 
   int workers = 2;              ///< shard count == concurrent worker processes

@@ -8,7 +8,7 @@
 #include <string>
 
 #include "arch/space.h"
-#include "cost/cost_model.h"
+#include "cost/eval_config.h"
 #include "dse/nsga2.h"
 #include "tech/technology.h"
 #include "util/json.h"
@@ -29,10 +29,21 @@ enum class DistillPolicy {
 const char* distill_policy_name(DistillPolicy policy);
 std::optional<DistillPolicy> distill_policy_from_name(const std::string& name);
 
+/// Parse one of the keys CompilerSpec and SweepSpec share, offering it in
+/// turn to EvalConfig::parse_key, the SpaceConstraints keys ("max_l",
+/// "max_h", "max_n" — each a positive integer) and the Nsga2Options keys
+/// ("population" >= 4, "generations" >= 1, "seed", "threads" >= 0).  Every
+/// value is type- and range-checked here, so a bad one is a diagnostic,
+/// never a crash inside the DSE.
+SpecKey parse_shared_spec_key(const std::string& key, const Json& value,
+                              EvalConfig* eval, SpaceConstraints* limits,
+                              Nsga2Options* dse, std::string* error);
+
 struct CompilerSpec {
   std::int64_t wstore = 8192;
   Precision precision = precision_int8();
-  EvalConditions conditions;
+  /// Backend, conditions, calibration artifact and layout stage.
+  EvalConfig eval;
   SpaceConstraints limits;
   Nsga2Options dse;
   DistillPolicy distill = DistillPolicy::kKnee;
@@ -41,40 +52,13 @@ struct CompilerSpec {
   bool generate_layout = true;
   bool generate_def = false;
 
-  /// Evaluation backend (spec key "cost_model", CLI --cost-model): the
-  /// analytic Table II-VI model (default) or the measured RTL/STA/gate-sim
-  /// reference.  The RTL backend is orders of magnitude slower per point —
-  /// it elaborates and simulates every candidate — and is meant for
-  /// cross-validation (`sega_dcim validate`) and small spaces.
-  CostModelKind cost_model = CostModelKind::kAnalytic;
-
   /// Persistent cost-cache memo file; empty disables persistence.  Loaded
   /// (if present) before the DSE and saved back after, so repeated runs
   /// over overlapping spaces skip paid-for evaluations across processes.
-  /// The file is fingerprinted with the cost-model backend + version, the
-  /// technology and the conditions; a mismatched memo is an error, never
-  /// silently mixed in.  Does not change any result — the cache memoizes a
-  /// pure function.
+  /// The file is fingerprinted with the evaluation identity (eval) and the
+  /// technology; a mismatched memo is an error, never silently mixed in.
+  /// Does not change any result — the cache memoizes a pure function.
   std::string cache_file;
-
-  /// Calibration artifact (spec key "calibration_file", CLI --calibration);
-  /// empty means the uncalibrated analytic model.  When set, the analytic
-  /// model evaluates through the fitted per-module factors and per-metric
-  /// scales (docs/FORMATS.md "Calibration artifact JSONL"), and the
-  /// artifact's version+digest joins every memo fingerprint.  Loading
-  /// hard-errors on a damaged artifact or one fitted for a different
-  /// technology/conditions/model version, and on cost_model == "rtl" (the
-  /// RTL backend is the measurement the artifact was fitted against).
-  std::string calibration_file;
-
-  /// Layout/interconnect cost stage (spec key "layout", CLI --layout):
-  /// floorplan each evaluated macro and fold the HPWL-derived wire
-  /// parasitics into delay and energy (cost/layout_cost.h).  Off by
-  /// default — the no-layout path stays byte-identical to prior releases.
-  /// Model identity: joins memo fingerprints and sweep config fingerprints
-  /// (key emitted only when enabled), so layout-on and layout-off state
-  /// never cross-load.
-  bool layout = false;
 
   /// Parse from JSON, e.g.:
   ///   {"wstore": 8192, "precision": "BF16", "supply_v": 0.9,

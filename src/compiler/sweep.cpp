@@ -12,7 +12,6 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
-#include <iterator>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -39,13 +38,15 @@ std::optional<SweepSpec> spec_fail(const std::string& msg,
   return std::nullopt;
 }
 
-/// The result-affecting fields in JSON form — the shared core of to_json()
-/// and the checkpoint config fingerprint, so the two can never drift.
-/// Excludes threads, the shard, the checkpoint path and the cache-file path
-/// (none of them changes any cell's result — the shard only selects which
-/// cells a process computes, and shard files must share the unsharded
-/// fingerprint so a merge can vouch they belong to the same sweep).
-Json result_affecting_json(const SweepSpec& spec) {
+/// The result-affecting grid, space and DSE fields — the shared core of
+/// to_json() and the checkpoint config fingerprint, which each add the
+/// evaluation config in their own form (EvalConfig::write_keys /
+/// write_identity), so the two can never drift.  Excludes threads, the
+/// shard, the heartbeat cadence and the file paths (none of them changes
+/// any cell's result — the shard only selects which cells a process
+/// computes, and shard files must share the unsharded fingerprint so a
+/// merge can vouch they belong to the same sweep).
+Json grid_json(const SweepSpec& spec) {
   Json j = Json::object();
   Json ws = Json::array();
   for (const std::int64_t w : spec.wstores) ws.push_back(w);
@@ -53,9 +54,6 @@ Json result_affecting_json(const SweepSpec& spec) {
   Json ps = Json::array();
   for (const Precision& p : spec.precisions) ps.push_back(p.name);
   j["precisions"] = std::move(ps);
-  j["supply_v"] = spec.conditions.supply_v;
-  j["sparsity"] = spec.conditions.input_sparsity;
-  j["activity"] = spec.conditions.activity;
   j["max_l"] = spec.limits.max_l;
   j["max_h"] = spec.limits.max_h;
   j["max_n"] = spec.limits.max_n;
@@ -65,12 +63,6 @@ Json result_affecting_json(const SweepSpec& spec) {
   j["crossover_prob"] = spec.dse.crossover_prob;
   j["mutation_prob"] = spec.dse.mutation_prob;
   j["seed"] = static_cast<std::int64_t>(spec.dse.seed);
-  j["cost_model"] = cost_model_kind_name(spec.cost_model);
-  // Only-when-enabled, like the calibration fingerprint: layout-off specs
-  // keep their serialization (and thus the checkpoint config fingerprint)
-  // byte-identical to pre-layout releases, and the exact-match header check
-  // rejects layout-on/layout-off cross-resume in both directions.
-  if (spec.layout) j["layout"] = true;
   return j;
 }
 
@@ -82,16 +74,11 @@ std::optional<SweepSpec> SweepSpec::from_json(const Json& json,
                                           error);
   SweepSpec spec;
   for (const auto& [key, value] : json.items()) {
-    // Scalar keys are type-checked before the typed accessors: a wrong type
-    // must be a parse error, never a precondition abort.
-    const bool is_scalar_key = key != "wstores" && key != "precisions" &&
-                               key != "checkpoint" && key != "cache_file" &&
-                               key != "calibration_file" &&
-                               key != "cost_model" && key != "layout";
-    if (is_scalar_key && !value.is_number()) {
-      return spec_fail(strfmt("spec key '%s' must be a number", key.c_str()),
-                       error);
-    }
+    const SpecKey shared = parse_shared_spec_key(key, value, &spec.eval,
+                                                 &spec.limits, &spec.dse,
+                                                 error);
+    if (shared == SpecKey::kInvalid) return std::nullopt;
+    if (shared == SpecKey::kParsed) continue;
     if (key == "wstores") {
       if (!value.is_array() || value.size() == 0) {
         return spec_fail("wstores must be a non-empty array", error);
@@ -120,101 +107,39 @@ std::optional<SweepSpec> SweepSpec::from_json(const Json& json,
         }
         spec.precisions.push_back(*p);
       }
-    } else if (key == "supply_v") {
-      spec.conditions.supply_v = value.as_number();
-      if (spec.conditions.supply_v <= 0) {
-        return spec_fail("supply_v must be > 0", error);
-      }
-    } else if (key == "sparsity") {
-      spec.conditions.input_sparsity = value.as_number();
-      if (spec.conditions.input_sparsity < 0 ||
-          spec.conditions.input_sparsity >= 1) {
-        return spec_fail("sparsity must be in [0, 1)", error);
-      }
-    } else if (key == "activity") {
-      spec.conditions.activity = value.as_number();
-    } else if (key == "max_l") {
-      spec.limits.max_l = value.as_int();
-    } else if (key == "max_h") {
-      spec.limits.max_h = value.as_int();
-    } else if (key == "max_n") {
-      spec.limits.max_n = value.as_int();
-    } else if (key == "min_n_over_bw") {
-      spec.limits.min_n_over_bw = value.as_int();
-      if (spec.limits.min_n_over_bw < 1) {
-        return spec_fail("min_n_over_bw must be >= 1", error);
-      }
-    } else if (key == "population") {
-      spec.dse.population = static_cast<int>(value.as_int());
-      if (spec.dse.population < 4) {
-        return spec_fail("population must be >= 4", error);
-      }
-    } else if (key == "generations") {
-      spec.dse.generations = static_cast<int>(value.as_int());
-      if (spec.dse.generations < 1) {
-        return spec_fail("generations must be >= 1", error);
-      }
-    } else if (key == "crossover_prob") {
-      spec.dse.crossover_prob = value.as_number();
-      if (spec.dse.crossover_prob < 0 || spec.dse.crossover_prob > 1) {
-        return spec_fail("crossover_prob must be in [0, 1]", error);
-      }
-    } else if (key == "mutation_prob") {
-      spec.dse.mutation_prob = value.as_number();
-      if (spec.dse.mutation_prob < 0 || spec.dse.mutation_prob > 1) {
-        return spec_fail("mutation_prob must be in [0, 1]", error);
-      }
-    } else if (key == "seed") {
-      spec.dse.seed = static_cast<std::uint64_t>(value.as_int());
-    } else if (key == "shard_index") {
-      spec.shard.index = static_cast<int>(value.as_int());
-      if (spec.shard.index < 0) {
-        return spec_fail("shard_index must be >= 0", error);
-      }
-    } else if (key == "shard_count") {
-      spec.shard.count = static_cast<int>(value.as_int());
-      if (spec.shard.count < 1) {
-        return spec_fail("shard_count must be >= 1", error);
-      }
-    } else if (key == "threads") {
-      spec.dse.threads = static_cast<int>(value.as_int());
-      if (spec.dse.threads < 0) return spec_fail("threads must be >= 0", error);
-    } else if (key == "heartbeat_every") {
-      spec.heartbeat_every = static_cast<int>(value.as_int());
-      if (spec.heartbeat_every < 0) {
-        return spec_fail("heartbeat_every must be >= 0", error);
-      }
-    } else if (key == "cost_model") {
+    } else if (key == "checkpoint" || key == "cache_file") {
       if (!value.is_string()) {
-        return spec_fail("cost_model must be \"analytic\" or \"rtl\"", error);
-      }
-      const auto kind = cost_model_kind_from_name(value.as_string());
-      if (!kind) {
-        return spec_fail(strfmt("unknown cost model '%s'",
-                                value.as_string().c_str()),
+        return spec_fail(strfmt("%s must be a string path", key.c_str()),
                          error);
       }
-      spec.cost_model = *kind;
-    } else if (key == "checkpoint") {
-      if (!value.is_string()) {
-        return spec_fail("checkpoint must be a string path", error);
+      (key == "checkpoint" ? spec.checkpoint : spec.cache_file) =
+          value.as_string();
+    } else if (key == "min_n_over_bw" || key == "crossover_prob" ||
+               key == "mutation_prob" || key == "shard_index" ||
+               key == "shard_count" || key == "heartbeat_every") {
+      if (!check_spec_number(key, value, error)) return std::nullopt;
+      const double v = value.as_number();
+      const std::int64_t n = value.as_int();
+      if (key == "min_n_over_bw") {
+        if (n < 1) return spec_fail("min_n_over_bw must be >= 1", error);
+        spec.limits.min_n_over_bw = n;
+      } else if (key == "crossover_prob" || key == "mutation_prob") {
+        if (v < 0 || v > 1) {
+          return spec_fail(strfmt("%s must be in [0, 1]", key.c_str()),
+                           error);
+        }
+        (key == "crossover_prob" ? spec.dse.crossover_prob
+                                 : spec.dse.mutation_prob) = v;
+      } else if (key == "shard_index") {
+        if (n < 0) return spec_fail("shard_index must be >= 0", error);
+        spec.shard.index = static_cast<int>(n);
+      } else if (key == "shard_count") {
+        if (n < 1) return spec_fail("shard_count must be >= 1", error);
+        spec.shard.count = static_cast<int>(n);
+      } else {
+        if (n < 0) return spec_fail("heartbeat_every must be >= 0", error);
+        spec.heartbeat_every = static_cast<int>(n);
       }
-      spec.checkpoint = value.as_string();
-    } else if (key == "cache_file") {
-      if (!value.is_string()) {
-        return spec_fail("cache_file must be a string path", error);
-      }
-      spec.cache_file = value.as_string();
-    } else if (key == "calibration_file") {
-      if (!value.is_string()) {
-        return spec_fail("calibration_file must be a string path", error);
-      }
-      spec.calibration_file = value.as_string();
-    } else if (key == "layout") {
-      if (!value.is_bool()) {
-        return spec_fail("layout must be a boolean", error);
-      }
-      spec.layout = value.as_bool();
     } else {
       return spec_fail(strfmt("unknown sweep spec key '%s'", key.c_str()),
                        error);
@@ -229,7 +154,8 @@ std::optional<SweepSpec> SweepSpec::from_json(const Json& json,
 }
 
 Json SweepSpec::to_json() const {
-  Json j = result_affecting_json(*this);
+  Json j = grid_json(*this);
+  eval.write_keys(&j);
   j["threads"] = dse.threads;
   if (heartbeat_every > 0) j["heartbeat_every"] = heartbeat_every;
   if (shard.active()) {
@@ -238,7 +164,6 @@ Json SweepSpec::to_json() const {
   }
   if (!checkpoint.empty()) j["checkpoint"] = checkpoint;
   if (!cache_file.empty()) j["cache_file"] = cache_file;
-  if (!calibration_file.empty()) j["calibration_file"] = calibration_file;
   return j;
 }
 
@@ -246,22 +171,18 @@ namespace {
 
 // ----------------------------------------------------------- checkpoint
 
-/// Everything that changes cell results: the spec's result-affecting fields
-/// plus the full technology (serialized techlib — name, unit scales, and
-/// every cell cost), so resuming under a different --tech is caught.
-/// Thread count and the checkpoint path itself are deliberately excluded:
-/// resuming with different parallelism is legitimate (and yields
+/// Everything that changes cell results: the grid/space/DSE fields, the
+/// evaluation identity (with the calibration artifact's version + digest,
+/// never its path), and the full technology (serialized techlib — name,
+/// unit scales, and every cell cost), so resuming under a different --tech
+/// is caught.  Thread count and the checkpoint path itself are deliberately
+/// excluded: resuming with different parallelism is legitimate (and yields
 /// byte-identical output).
 Json config_fingerprint(const SweepSpec& spec, const Technology& tech,
                         const Calibration* cal) {
-  Json j = result_affecting_json(spec);
+  Json j = grid_json(spec);
+  spec.eval.write_identity(&j, cal);
   j["techlib"] = write_techlib(tech);
-  // The *artifact identity* (format version + content digest), never the
-  // path: renaming the file is legitimate, editing its parameters is not.
-  // Uncalibrated sweeps carry no key at all, so pre-calibration checkpoints
-  // keep their fingerprint byte-identical — and a calibrated checkpoint can
-  // never resume an uncalibrated sweep, or vice versa.
-  if (cal != nullptr) j["calibration"] = cal->fingerprint();
   return j;
 }
 
@@ -536,272 +457,13 @@ bool parse_double(const std::string& s, double* out) {
   return true;
 }
 
-/// First non-empty line of @p path, raw bytes (no trailing newline).
-/// Returns false only when the file cannot be opened; a readable file with
-/// no content lines leaves *out empty.
-bool read_first_content_line(const std::string& path, std::string* out) {
-  out->clear();
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (trim(line).empty()) continue;
-    *out = line;
-    return true;
-  }
-  return true;
-}
-
-// --------------------------------------------------------- index segment
-//
-// `<checkpoint>.idx` — a compact sidecar so resume seeks instead of
-// re-parsing every checkpoint JSONL line (normative spec: docs/FORMATS.md):
-//
-//   sega_sweep_idx 1 <ckpt_bytes> <header_fnv> <cell_count>
-//   ranges <a>-<b>,<c>,...
-//   cell <id> <wstore> <precision> <front> <evals> <n> <h> <l> <k> <sw> <pt>
-//   ...
-//   sum <fnv>
-//
-// <ckpt_bytes> is the checkpoint size the index reflects — resume
-// JSON-parses only the bytes past it (lines appended after the index was
-// written).  <header_fnv> is the FNV-1a of the checkpoint's raw header
-// line, binding the index to this exact file, not merely this
-// configuration.  The trailing sum is an FNV-1a over every preceding byte.
-// The index is an *optimization only*: any staleness or integrity signal —
-// wrong magic, bad checksum, checkpoint shorter than <ckpt_bytes>, header
-// mismatch, a payload that fails grid/shard/design validation — makes the
-// reader fall back to the full JSONL parse, which recovers identical state.
-
-std::uint32_t fnv1a(const char* data, std::size_t size) {
-  std::uint32_t h = 2166136261u;
-  for (std::size_t i = 0; i < size; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
-    h *= 16777619u;
-  }
-  return h;
-}
-
-/// The "ranges" line for a sorted id list: merged ascending spans
-/// ("0-5,7,9-11"), "-" when empty so the line always has two tokens.
-std::string render_ranges(const std::vector<std::size_t>& ids) {
-  if (ids.empty()) return "ranges -";
-  std::string r;
-  std::size_t start = ids[0];
-  std::size_t prev = ids[0];
-  const auto flush = [&]() {
-    if (!r.empty()) r += ',';
-    r += start == prev ? strfmt("%zu", start) : strfmt("%zu-%zu", start, prev);
-  };
-  for (std::size_t i = 1; i < ids.size(); ++i) {
-    if (ids[i] == prev + 1) {
-      prev = ids[i];
-    } else {
-      flush();
-      start = prev = ids[i];
-    }
-  }
-  flush();
-  return "ranges " + r;
-}
-
-std::string index_render(const std::string& header_raw,
-                         std::uint64_t ckpt_bytes,
-                         const std::vector<GridCell>& grid,
-                         const std::vector<char>& done,
-                         const std::vector<RecoveredCell>& slots) {
-  std::vector<std::size_t> ids;
-  for (std::size_t gi = 0; gi < grid.size(); ++gi) {
-    if (done[gi]) ids.push_back(gi);
-  }
-  std::string body =
-      strfmt("sega_sweep_idx 1 %llu %u %zu\n",
-             static_cast<unsigned long long>(ckpt_bytes),
-             fnv1a(header_raw.data(), header_raw.size()), ids.size());
-  body += render_ranges(ids);
-  body += '\n';
-  for (const std::size_t gi : ids) {
-    const RecoveredCell& rc = slots[gi];
-    const DesignPoint& dp = rc.cell.knee.point;
-    body += strfmt(
-        "cell %zu %lld %s %zu %lld %lld %lld %lld %lld %d %d\n", gi,
-        static_cast<long long>(grid[gi].wstore),
-        grid[gi].precision.name.c_str(), rc.empty ? 0 : rc.cell.front_size,
-        static_cast<long long>(rc.empty ? 0 : rc.cell.evaluations),
-        static_cast<long long>(rc.empty ? 0 : dp.n),
-        static_cast<long long>(rc.empty ? 0 : dp.h),
-        static_cast<long long>(rc.empty ? 0 : dp.l),
-        static_cast<long long>(rc.empty ? 0 : dp.k),
-        rc.empty ? 0 : (dp.signed_weights ? 1 : 0),
-        rc.empty ? 0 : (dp.pipelined_tree ? 1 : 0));
-  }
-  body += strfmt("sum %u\n", fnv1a(body.data(), body.size()));
-  return body;
-}
-
-/// Atomic write of an index segment.  Warn-only on failure: the index is a
-/// resume accelerator, never data of record — losing it costs a full parse
-/// on the next resume, nothing else.
-void index_write(const std::string& path, const std::string& body) {
-  const std::string tmp =
-      strfmt("%s.tmp.%d", path.c_str(), static_cast<int>(::getpid()));
-  {
-    std::ofstream f(tmp, std::ios::binary | std::ios::trunc);
-    if (!f) {
-      std::fprintf(stderr, "[sega] warning: cannot write index segment '%s'\n",
-                   tmp.c_str());
-      return;
-    }
-    f << body;
-    f.flush();
-    if (!f) {
-      std::error_code ec;
-      std::filesystem::remove(tmp, ec);
-      std::fprintf(stderr, "[sega] warning: write to index segment '%s' "
-                           "failed\n",
-                   tmp.c_str());
-      return;
-    }
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    std::filesystem::remove(tmp, ec);
-    std::fprintf(stderr, "[sega] warning: cannot rename index segment '%s' "
-                         "into place\n",
-                 path.c_str());
-  }
-}
-
-/// Validate and decode an index segment against the checkpoint it claims to
-/// describe.  On success fills @p out with the recovered cells (metrics NOT
-/// derived — the caller re-derives them through the cost model, same as the
-/// JSONL path) and @p tail_offset with the checkpoint byte offset to resume
-/// JSON parsing from.  Any failure returns false — the caller falls back to
-/// the full parse, so this function never needs to report *why*.
-bool index_load(const std::string& idx_path, const std::string& header_raw,
-                std::uint64_t ckpt_size, const SweepSpec& spec,
-                const std::vector<GridCell>& grid,
-                std::vector<std::pair<std::size_t, RecoveredCell>>* out,
-                std::uint64_t* tail_offset) {
-  out->clear();
-  std::ifstream in(idx_path, std::ios::binary);
-  if (!in) return false;
-  std::string content((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-  if (content.empty() || content.back() != '\n') return false;
-
-  // Integrity first: the last line must be `sum <fnv>` over all bytes
-  // before it.  A truncated or bit-flipped index can never pass.
-  const std::size_t prev_nl = content.rfind('\n', content.size() - 2);
-  const std::size_t body_end = prev_nl == std::string::npos ? 0 : prev_nl + 1;
-  const std::string sum_line =
-      content.substr(body_end, content.size() - body_end - 1);
-  const auto sum_tok = split(sum_line, ' ');
-  unsigned long long stored_sum = 0;
-  if (sum_tok.size() != 2 || sum_tok[0] != "sum" ||
-      !parse_ull(sum_tok[1], &stored_sum) ||
-      stored_sum != fnv1a(content.data(), body_end)) {
-    return false;
-  }
-
-  std::vector<std::string> lines;
-  {
-    std::size_t pos = 0;
-    while (pos < body_end) {
-      const std::size_t nl = content.find('\n', pos);
-      lines.push_back(content.substr(pos, nl - pos));
-      pos = nl + 1;
-    }
-  }
-  if (lines.size() < 2) return false;
-
-  const auto head = split(lines[0], ' ');
-  unsigned long long ckpt_bytes = 0;
-  unsigned long long header_fnv = 0;
-  unsigned long long cell_count = 0;
-  if (head.size() != 5 || head[0] != "sega_sweep_idx" || head[1] != "1" ||
-      !parse_ull(head[2], &ckpt_bytes) || !parse_ull(head[3], &header_fnv) ||
-      !parse_ull(head[4], &cell_count)) {
-    return false;
-  }
-  // Staleness: the index must describe a prefix of THIS checkpoint file.
-  // A replaced checkpoint (different header) or one shorter than the index
-  // claims (rewritten, truncated) invalidates it.
-  if (header_fnv != fnv1a(header_raw.data(), header_raw.size())) return false;
-  if (ckpt_bytes > ckpt_size) return false;
-  if (cell_count != lines.size() - 2) return false;
-
-  std::vector<std::size_t> ids;
-  std::vector<char> seen(grid.size(), 0);
-  for (std::size_t li = 2; li < lines.size(); ++li) {
-    const auto tok = split(lines[li], ' ');
-    if (tok.size() != 12 || tok[0] != "cell") return false;
-    unsigned long long id = 0;
-    long long wstore = 0;
-    long long front = 0;
-    long long evals = 0;
-    long long n = 0, h = 0, l = 0, k = 0, sw = 0, pt = 0;
-    if (!parse_ull(tok[1], &id) || !parse_ll(tok[2], &wstore) ||
-        !parse_ll(tok[4], &front) || !parse_ll(tok[5], &evals) ||
-        !parse_ll(tok[6], &n) || !parse_ll(tok[7], &h) ||
-        !parse_ll(tok[8], &l) || !parse_ll(tok[9], &k) ||
-        !parse_ll(tok[10], &sw) || !parse_ll(tok[11], &pt)) {
-      return false;
-    }
-    // Every payload re-earns its place: it must name a cell of this grid,
-    // owned by this shard, not yet seen, and (when non-empty) carry a knee
-    // that is a valid member of the cell's design space — exactly the
-    // acceptance rules of the JSONL recovery path.
-    if (id >= grid.size() || seen[id] || !spec.shard.owns(id)) return false;
-    if (grid[id].wstore != wstore || grid[id].precision.name != tok[3]) {
-      return false;
-    }
-    seen[id] = 1;
-    ids.push_back(id);
-    RecoveredCell rc;
-    rc.cell.wstore = wstore;
-    rc.cell.precision = grid[id].precision;
-    if (front == 0) {
-      rc.empty = true;
-    } else {
-      if (front < 0 || evals < 1 || (sw != 0 && sw != 1) ||
-          (pt != 0 && pt != 1)) {
-        return false;
-      }
-      rc.empty = false;
-      rc.cell.front_size = static_cast<std::size_t>(front);
-      rc.cell.evaluations = evals;
-      DesignPoint dp;
-      dp.precision = grid[id].precision;
-      dp.arch = arch_for(dp.precision);
-      dp.n = n;
-      dp.h = h;
-      dp.l = l;
-      dp.k = k;
-      dp.signed_weights = sw == 1;
-      dp.pipelined_tree = pt == 1;
-      if (!validate_design(dp, wstore, spec.limits).ok) return false;
-      rc.cell.knee.point = dp;
-    }
-    out->emplace_back(static_cast<std::size_t>(id), std::move(rc));
-  }
-  // The ranges line must reproduce from the payloads — one more internal
-  // consistency check, and it keeps the line honest for human readers.
-  std::vector<std::size_t> sorted = ids;
-  std::sort(sorted.begin(), sorted.end());
-  if (lines[1] != render_ranges(sorted)) return false;
-  *tail_offset = ckpt_bytes;
-  return true;
-}
-
 // ------------------------------------------------------- fault injection
 //
 // SEGA_SWEEP_FAULT=<kill|stall>-after:<k>[:prob=<p>][:seed=<s>][:attempts=<n>]
 //
 // First-class crash testing for the supervised sweep: after its k-th
 // completed cell (this run, recovered cells excluded) the worker persists
-// its progress snapshot (heartbeat, memo delta, index) and then either
+// its progress snapshot (heartbeat, memo delta) and then either
 // _Exit(86)s (kill) or sleeps forever holding the checkpoint mutex (stall —
 // wedging every worker thread, the pathology the orchestrator's stall
 // timeout exists for).  Whether the fault *arms* at all is a deterministic
@@ -891,30 +553,6 @@ double fault_hash01(std::uint64_t seed, int shard_index, long long attempt) {
   return static_cast<double>(x >> 11) * (1.0 / 9007199254740992.0);
 }
 
-/// Load spec.calibration_file up front (every sweep entry point does this
-/// before touching any checkpoint or memo).  *out stays null when the spec
-/// names no artifact.  A damaged or mismatched artifact — or one combined
-/// with the RTL backend — is a hard error: stale or wrong calibration must
-/// never silently shape results.
-bool load_spec_calibration(const SweepSpec& spec, const Technology& tech,
-                           std::shared_ptr<const Calibration>* out,
-                           std::string* error) {
-  out->reset();
-  if (spec.calibration_file.empty()) return true;
-  if (spec.cost_model != CostModelKind::kAnalytic) {
-    if (error) {
-      *error = "calibration_file only applies to the analytic cost model; "
-               "the rtl backend is the measurement it was fitted against";
-    }
-    return false;
-  }
-  auto cal = load_calibration_for(spec.calibration_file, tech,
-                                  spec.conditions, error);
-  if (!cal) return false;
-  *out = std::make_shared<const Calibration>(std::move(*cal));
-  return true;
-}
-
 }  // namespace
 
 SweepResult run_sweep(const Compiler& compiler, const SweepSpec& spec,
@@ -924,16 +562,23 @@ SweepResult run_sweep(const Compiler& compiler, const SweepSpec& spec,
                spec.shard.index < spec.shard.count);
   if (error) error->clear();
 
-  // The calibration artifact loads before any checkpoint or memo is touched:
-  // its identity is part of both fingerprints.
-  std::shared_ptr<const Calibration> calibration;
-  {
-    std::string cal_error;
-    if (!load_spec_calibration(spec, compiler.technology(), &calibration,
-                               &cal_error)) {
-      return checkpoint_fail(cal_error, error);
-    }
+  // One memoizing cache across the whole grid: cells at the same Wstore (and
+  // neighbouring ones — the genome space overlaps heavily) revisit the same
+  // design points, and checkpoint recovery re-derives knee metrics from it.
+  // The evaluation config resolves before any checkpoint or memo is
+  // touched: its identity is part of both fingerprints.  A host-provided
+  // shared cache (SweepSpec::shared_cache — the serve daemon's warm
+  // cross-client cache) replaces the run-local one; its owner manages
+  // persistence, so the memo load/save below is skipped with it.
+  std::unique_ptr<CostCache> owned_cache;
+  if (spec.shared_cache == nullptr) {
+    std::string eval_error;
+    auto model = spec.eval.make_model(compiler.technology(), &eval_error);
+    if (!model) return checkpoint_fail(eval_error, error);
+    owned_cache = std::make_unique<CostCache>(std::move(model));
   }
+  CostCache& cache = spec.shared_cache ? *spec.shared_cache : *owned_cache;
+  const std::shared_ptr<const Calibration> calibration = cache.calibration();
 
   const std::vector<GridCell> grid = build_grid(spec);
 
@@ -943,8 +588,8 @@ SweepResult run_sweep(const Compiler& compiler, const SweepSpec& spec,
 
   if (spec.heartbeat_every > 0 && ckpt_path.empty()) {
     return checkpoint_fail(
-        "heartbeat_every requires a checkpoint (the heartbeat and index "
-        "files sit next to it)",
+        "heartbeat_every requires a checkpoint (the heartbeat file sits "
+        "next to it)",
         error);
   }
 
@@ -965,22 +610,6 @@ SweepResult run_sweep(const Compiler& compiler, const SweepSpec& spec,
         attempt < fault.attempts &&
         fault_hash01(fault.seed, spec.shard.index, attempt) < fault.prob;
   }
-
-  // One memoizing cache across the whole grid: cells at the same Wstore (and
-  // neighbouring ones — the genome space overlaps heavily) revisit the same
-  // design points, and checkpoint recovery re-derives knee metrics from it.
-  // The cache wraps the spec's chosen backend; the memo fingerprint carries
-  // the backend identity, so analytic and RTL memos never mix.
-  // A host-provided shared cache (SweepSpec::shared_cache — the serve
-  // daemon's warm cross-client cache) replaces the run-local one; its owner
-  // manages persistence, so the memo load/save below is skipped with it.
-  std::unique_ptr<CostCache> owned_cache;
-  if (spec.shared_cache == nullptr) {
-    owned_cache = std::make_unique<CostCache>(
-        make_cost_model(spec.cost_model, compiler.technology(),
-                        spec.conditions, calibration, spec.layout));
-  }
-  CostCache& cache = spec.shared_cache ? *spec.shared_cache : *owned_cache;
 
   // --- persistent memo load ---
   // Sharded workers seed from the unified base memo (a previously merged
@@ -1008,7 +637,6 @@ SweepResult run_sweep(const Compiler& compiler, const SweepSpec& spec,
   std::map<CellKey, RecoveredCell> recovered;
   std::unique_ptr<std::ofstream> ckpt;
   std::mutex ckpt_mu;
-  std::string ckpt_header_raw;  // raw header line, for index staleness binding
   if (!ckpt_path.empty()) {
     bool have_header = false;
     std::error_code ec;
@@ -1018,66 +646,29 @@ SweepResult run_sweep(const Compiler& compiler, const SweepSpec& spec,
       // from a different sweep or a different slice of the grid must never
       // be mixed in.  Cell lines tolerate truncation/corruption (a killed
       // writer may leave a partial tail) by simply recomputing those cells.
-      // The header is read and checked up front (one line — cheap); what
-      // the index fast path below skips is the *cell line* parsing.
-      if (!read_first_content_line(ckpt_path, &ckpt_header_raw)) {
-        return checkpoint_fail(
-            strfmt("cannot read checkpoint '%s'", ckpt_path.c_str()), error);
-      }
       HeaderCheck verdict = HeaderCheck::kOk;
-      if (!ckpt_header_raw.empty()) {
-        have_header = true;
-        verdict = check_header(Json::parse(ckpt_header_raw), spec,
-                               compiler.technology(), calibration.get(),
-                               spec.shard);
-      }
-      if (have_header && verdict == HeaderCheck::kOk) {
-        const auto consume = [&](const std::optional<Json>& line) {
-          if (!line) return;
-          RecoveredCell rc;
-          if (!recover_cell(*line, spec, &rc)) return;
-          // Metrics are never stored in the checkpoint: re-derive them
-          // through the pure cost model so recovery is bit-exact and
-          // immune to serialization rounding.
-          if (!rc.empty) {
-            rc.cell.knee.metrics = cache.evaluate(rc.cell.knee.point);
-          }
-          recovered[CellKey{rc.cell.wstore, rc.cell.precision.name}] =
-              std::move(rc);
-        };
-        // Index fast path: a valid index segment replaces the JSONL parse
-        // of every cell line it covers; only the tail appended after the
-        // index was written is parsed.  Both paths recover identical state
-        // — the index is dropped on any staleness signal, never trusted
-        // over the checkpoint.
-        std::error_code size_ec;
-        const auto ckpt_size = std::filesystem::file_size(ckpt_path, size_ec);
-        std::vector<std::pair<std::size_t, RecoveredCell>> indexed;
-        std::uint64_t tail_offset = 0;
-        if (!size_ec &&
-            index_load(index_file_path(ckpt_path), ckpt_header_raw, ckpt_size,
-                       spec, grid, &indexed, &tail_offset)) {
-          for (auto& [gi, rc] : indexed) {
-            (void)gi;
+      const bool readable = walk_checkpoint(
+          ckpt_path, &have_header,
+          [&](const std::optional<Json>& header) {
+            verdict = check_header(header, spec, compiler.technology(),
+                                   calibration.get(), spec.shard);
+            return verdict == HeaderCheck::kOk;
+          },
+          [&](const std::optional<Json>& line) {
+            RecoveredCell rc;
+            if (!line || !recover_cell(*line, spec, &rc)) return;
+            // Metrics are never stored in the checkpoint: re-derive them
+            // through the pure cost model so recovery is bit-exact and
+            // immune to serialization rounding.
             if (!rc.empty) {
               rc.cell.knee.metrics = cache.evaluate(rc.cell.knee.point);
             }
             recovered[CellKey{rc.cell.wstore, rc.cell.precision.name}] =
                 std::move(rc);
-          }
-          std::ifstream tail(ckpt_path, std::ios::binary);
-          tail.seekg(static_cast<std::streamoff>(tail_offset));
-          std::string line;
-          while (std::getline(tail, line)) {
-            if (trim(line).empty()) continue;
-            consume(Json::parse(line));
-          }
-        } else {
-          bool walked_header = false;
-          walk_checkpoint(ckpt_path, &walked_header,
-                          [](const std::optional<Json>&) { return true; },
-                          consume);
-        }
+          });
+      if (!readable) {
+        return checkpoint_fail(
+            strfmt("cannot read checkpoint '%s'", ckpt_path.c_str()), error);
       }
       if (verdict == HeaderCheck::kMalformed) {
         return checkpoint_fail(
@@ -1122,9 +713,9 @@ SweepResult run_sweep(const Compiler& compiler, const SweepSpec& spec,
     }
     if (needs_leading_newline) *ckpt << '\n';
     if (!have_header) {
-      ckpt_header_raw =
-          header_line(spec, compiler.technology(), calibration.get()).dump();
-      *ckpt << ckpt_header_raw << '\n';
+      *ckpt << header_line(spec, compiler.technology(), calibration.get())
+                   .dump()
+            << '\n';
       ckpt->flush();
     }
   }
@@ -1136,7 +727,6 @@ SweepResult run_sweep(const Compiler& compiler, const SweepSpec& spec,
   std::vector<std::size_t> mine;
   std::vector<std::size_t> todo;  // owned cells not covered by recovery
   std::vector<RecoveredCell> slots(grid.size());
-  std::vector<char> done(grid.size(), 0);  // recovered or completed this run
   for (std::size_t gi = 0; gi < grid.size(); ++gi) {
     if (!spec.shard.owns(gi)) continue;
     mine.push_back(gi);
@@ -1144,7 +734,6 @@ SweepResult run_sweep(const Compiler& compiler, const SweepSpec& spec,
         CellKey{grid[gi].wstore, grid[gi].precision.name});
     if (it != recovered.end()) {
       slots[gi] = it->second;
-      done[gi] = 1;
     } else {
       todo.push_back(gi);
     }
@@ -1166,8 +755,8 @@ SweepResult run_sweep(const Compiler& compiler, const SweepSpec& spec,
     }
   };
   std::ofstream hb;
-  std::size_t done_owned = 0;
-  for (const std::size_t gi : mine) done_owned += done[gi] ? 1 : 0;
+  // Owned cells recovered or completed by this run.
+  std::size_t done_owned = mine.size() - todo.size();
   if (spec.heartbeat_every > 0) {
     hb.open(heartbeat_file_path(ckpt_path), std::ios::app);
     if (!hb) {
@@ -1177,9 +766,9 @@ SweepResult run_sweep(const Compiler& compiler, const SweepSpec& spec,
           error);
     }
   }
-  // One progress snapshot: heartbeat line (supervisor liveness), memo delta
-  // (evaluations survive a kill), index segment (resume seeks, not parses).
-  // Caller holds ckpt_mu when worker threads are live.
+  // One progress snapshot: heartbeat line (supervisor liveness) and memo
+  // delta (evaluations survive a kill).  Caller holds ckpt_mu when worker
+  // threads are live.
   const auto snapshot = [&]() {
     if (hb.is_open()) {
       Json line = Json::object();
@@ -1190,22 +779,10 @@ SweepResult run_sweep(const Compiler& compiler, const SweepSpec& spec,
       hb.flush();
     }
     persist_memo();
-    if (ckpt) {
-      // Every checkpoint line is flushed as it is appended, so the file
-      // size is exactly the prefix this index covers.
-      ckpt->flush();
-      std::error_code size_ec;
-      const auto bytes = std::filesystem::file_size(ckpt_path, size_ec);
-      if (!size_ec) {
-        index_write(index_file_path(ckpt_path),
-                    index_render(ckpt_header_raw, bytes, grid, done, slots));
-      }
-    }
   };
   if (spec.heartbeat_every > 0) {
     // Starting snapshot: the supervisor sees a live worker before the first
-    // (possibly long) cell completes, and a resumed worker re-covers its
-    // recovered cells in the index immediately.
+    // (possibly long) cell completes.
     snapshot();
   }
   std::atomic<long long> completions{0};
@@ -1259,12 +836,10 @@ SweepResult run_sweep(const Compiler& compiler, const SweepSpec& spec,
     CompilerSpec cs;
     cs.wstore = grid[gi].wstore;
     cs.precision = grid[gi].precision;
-    cs.conditions = spec.conditions;
+    cs.eval = spec.eval;  // informational: evaluation goes through the cache
     cs.dse = spec.dse;
     cs.dse.threads = 0;  // inherit this task's thread (no nested pools)
     cs.limits = spec.limits;
-    cs.cost_model = spec.cost_model;
-    cs.layout = spec.layout;  // informational: evaluation goes through cache
     cs.distill = DistillPolicy::kKnee;
     cs.generate_rtl = false;
     cs.generate_layout = false;
@@ -1292,7 +867,6 @@ SweepResult run_sweep(const Compiler& compiler, const SweepSpec& spec,
       *ckpt << line << '\n';
       ckpt->flush();
       if (spec.progress) spec.progress(record);
-      done[gi] = 1;
       ++done_owned;
       const long long completed = ++completions;
       if (spec.heartbeat_every > 0 &&
@@ -1321,15 +895,8 @@ SweepResult run_sweep(const Compiler& compiler, const SweepSpec& spec,
   // simply re-pays the evaluations.  (Loading a bad memo stays a hard
   // error — that would corrupt results; failing to write one cannot.)
   //
-  // The completion snapshot also leaves a final heartbeat line and an index
-  // segment covering every completed cell — the next resume of this
-  // checkpoint parses zero JSONL cell lines.
-  if (ckpt) {
-    std::lock_guard<std::mutex> lock(ckpt_mu);
-    snapshot();
-  } else {
-    persist_memo();
-  }
+  // The completion snapshot also leaves a final heartbeat line.
+  snapshot();
 
   // --- fold in fixed grid order ---
   // Always grid order (Wstore-major, precisions in spec order), never
@@ -1356,14 +923,10 @@ SweepResult merge_sweep_shards(const Compiler& compiler, const SweepSpec& spec,
         "--checkpoint)",
         error);
   }
-  std::shared_ptr<const Calibration> calibration;
-  {
-    std::string cal_error;
-    if (!load_spec_calibration(spec, compiler.technology(), &calibration,
-                               &cal_error)) {
-      return checkpoint_fail(cal_error, error);
-    }
-  }
+  std::string eval_error;
+  auto model = spec.eval.make_model(compiler.technology(), &eval_error);
+  if (!model) return checkpoint_fail(eval_error, error);
+  const std::shared_ptr<const Calibration> calibration = model->calibration();
 
   // The same fixed grid (and cell-id space) the workers partitioned.
   const std::vector<GridCell> grid = build_grid(spec);
@@ -1494,8 +1057,7 @@ SweepResult merge_sweep_shards(const Compiler& compiler, const SweepSpec& spec,
   // above guarantees the shards were computed under it), so the merged
   // result is exactly what a single-process run would have produced.  The
   // workers' memo shards make this free when a cache file is in play.
-  CostCache cache(make_cost_model(spec.cost_model, compiler.technology(),
-                                  spec.conditions, calibration, spec.layout));
+  CostCache cache(std::move(model));
   if (!spec.cache_file.empty()) {
     std::error_code ec;
     if (std::filesystem::exists(spec.cache_file, ec)) {
@@ -1555,16 +1117,6 @@ SweepResult merge_sweep_shards(const Compiler& compiler, const SweepSpec& spec,
                spec.checkpoint.c_str()),
         error);
   }
-  // Unified index segment: the merged checkpoint covers the whole grid, so
-  // a later unsharded resume recovers every cell from the index without
-  // parsing a single JSONL cell line.
-  {
-    const std::vector<char> all_done(grid.size(), 1);
-    const std::string header_raw = text.substr(0, text.find('\n'));
-    index_write(index_file_path(spec.checkpoint),
-                index_render(header_raw, text.size(), grid, all_done, slots));
-  }
-
   // --- unified memo save (warn-only, like run_sweep's save) ---
   if (!spec.cache_file.empty()) {
     std::string cache_error;
@@ -1624,14 +1176,10 @@ std::optional<CheckpointSummary> summarize_checkpoint(const Compiler& compiler,
   if (spec.checkpoint.empty()) {
     return fail("no checkpoint path in the sweep spec");
   }
-  std::shared_ptr<const Calibration> calibration;
-  {
-    std::string cal_error;
-    if (!load_spec_calibration(spec, compiler.technology(), &calibration,
-                               &cal_error)) {
-      return fail(cal_error);
-    }
-  }
+  std::string eval_error;
+  const auto model = spec.eval.make_model(compiler.technology(), &eval_error);
+  if (!model) return fail(eval_error);
+  const std::shared_ptr<const Calibration> calibration = model->calibration();
   // For a sharded spec the summary covers this worker's slice of the grid
   // (its own shard file, its own cells) — the merge-time coverage of the
   // whole set is merge_sweep_shards' partial-merge report.

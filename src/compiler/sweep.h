@@ -42,16 +42,14 @@ struct SweepSpec {
   std::vector<std::int64_t> wstores = {4096,  8192,  16384,
                                        32768, 65536, 131072};
   std::vector<Precision> precisions = all_precisions();
-  EvalConditions conditions;
+  /// Backend, conditions, calibration artifact and layout stage of every
+  /// cell.  All four are result-affecting and join the checkpoint config
+  /// fingerprint (EvalConfig::write_identity) and the memo fingerprint, so
+  /// a checkpoint or memo never resumes or seeds a sweep under a different
+  /// evaluation config.
+  EvalConfig eval;
   Nsga2Options dse;
   SpaceConstraints limits;
-
-  /// Evaluation backend for every cell (spec key "cost_model", CLI
-  /// --cost-model): analytic closed forms (default) or the measured
-  /// RTL/STA/gate-sim reference.  Result-affecting, so it is part of the
-  /// checkpoint config fingerprint — an analytic checkpoint can never
-  /// resume an RTL sweep or vice versa.
-  CostModelKind cost_model = CostModelKind::kAnalytic;
 
   /// JSONL checkpoint/resume file; empty disables checkpointing.  The first
   /// line records the sweep configuration; each later line is one completed
@@ -71,8 +69,8 @@ struct SweepSpec {
   /// grid's shared CostCache is seeded from this file before any cell runs
   /// and saved back (atomically) after the last cell completes, so a second
   /// sweep of the same grid performs zero macro-model evaluations.  The
-  /// memo is fingerprinted (technology + conditions + cost-model version);
-  /// a mismatched file is an error.  Results are unchanged either way.
+  /// memo is fingerprinted (technology + evaluation identity); a mismatched
+  /// file is an error.  Results are unchanged either way.
   ///
   /// When shard.active(), this too is a base path: the worker seeds its
   /// cache from the unified base memo (if present) plus its own
@@ -83,25 +81,6 @@ struct SweepSpec {
   /// unified base memo.
   std::string cache_file;
 
-  /// Calibration artifact (spec key "calibration_file", CLI --calibration);
-  /// empty means the uncalibrated analytic model.  Result-affecting: the
-  /// artifact's version+digest joins the checkpoint config fingerprint and
-  /// the memo fingerprint, so a calibrated checkpoint/memo can never resume
-  /// or seed an uncalibrated sweep (or vice versa, or a sweep under a
-  /// different artifact).  Loading hard-errors on a damaged artifact, one
-  /// fitted for a different technology/conditions/model version, or
-  /// cost_model == "rtl" (the RTL backend is the measurement).
-  std::string calibration_file;
-
-  /// Layout/interconnect cost stage (spec key "layout", CLI --layout):
-  /// every cell's evaluations floorplan the macro and fold the HPWL-derived
-  /// wire parasitics into delay/energy (cost/layout_cost.h).  Off by
-  /// default — the no-layout grid stays byte-identical.  Result-affecting:
-  /// the toggle joins the checkpoint config fingerprint and the memo
-  /// fingerprint (key emitted only when enabled), so layout-on and
-  /// layout-off state can never cross-resume or cross-seed.
-  bool layout = false;
-
   /// This worker's slice of the grid (spec keys "shard_index"/"shard_count",
   /// CLI `--shard i/N`).  Sharding never changes any cell's result — it only
   /// selects which cells this process computes — so the config fingerprint
@@ -110,16 +89,14 @@ struct SweepSpec {
 
   /// Liveness/progress cadence (spec key "heartbeat_every", CLI
   /// --heartbeat-every): every K completed cells the worker appends one
-  /// liveness line to `<effective checkpoint>.hb` (heartbeat_file_path),
-  /// persists its cost-memo delta, and rewrites the checkpoint's index
-  /// segment `<effective checkpoint>.idx` (index_file_path) — so a worker
-  /// killed at any point leaves at most K cells' worth of cache evaluations
-  /// and index coverage unpersisted, and the orchestrate supervisor can
-  /// watch the .hb file to detect a stalled worker.  0 (the default)
-  /// disables the cadence; the heartbeat/index/memo snapshot then happens
-  /// only at completion.  Requires a checkpoint (the .hb/.idx paths derive
-  /// from it).  Not result-affecting — excluded from the config
-  /// fingerprint, like threads.
+  /// liveness line to `<effective checkpoint>.hb` (heartbeat_file_path) and
+  /// persists its cost-memo delta — so a worker killed at any point leaves
+  /// at most K cells' worth of cache evaluations unpersisted, and the
+  /// orchestrate supervisor can watch the .hb file to detect a stalled
+  /// worker.  0 (the default) disables the cadence; the heartbeat and memo
+  /// snapshot then happen only at completion.  Requires a checkpoint (the
+  /// .hb path derives from it).  Not result-affecting — excluded from the
+  /// config fingerprint, like threads.
   int heartbeat_every = 0;
 
   /// Observational hooks for an embedding host (the `sega_dcim serve`
@@ -137,11 +114,10 @@ struct SweepSpec {
   /// When non-null, evaluate through this externally owned cache instead of
   /// constructing one, and skip cache_file load/save entirely (the owner
   /// manages persistence — this is how N daemon clients dedup through one
-  /// warm cache).  Precondition: the cache wraps the same backend kind,
-  /// technology, conditions, and calibration artifact (the one
-  /// calibration_file names, or none) as this spec.  SweepResult::cache_hits/
-  /// cache_misses then report the shared cache's cumulative counters, not
-  /// this run's (they are unserialized diagnostics either way).
+  /// warm cache).  Precondition: the cache wraps the model eval resolves
+  /// to over the same technology.  SweepResult::cache_hits/cache_misses
+  /// then report the shared cache's cumulative counters, not this run's
+  /// (they are unserialized diagnostics either way).
   CostCache* shared_cache = nullptr;
 
   /// Parse from JSON, e.g.:
@@ -202,20 +178,11 @@ struct SweepResult {
 /// warns on stderr: the computed sweep is the primary product and is still
 /// returned.
 ///
-/// Resume fast path: when the checkpoint has a valid index segment
-/// (`<checkpoint>.idx`, written at heartbeats and at completion), recovery
-/// reads the compact per-cell payloads from the index and JSON-parses only
-/// the checkpoint lines appended after the index was written, instead of
-/// re-parsing every JSONL line.  Any staleness signal — header mismatch,
-/// the checkpoint shorter than the index claims, a bad index checksum, a
-/// payload that fails validation — silently falls back to the full parse;
-/// the two paths recover identical state by construction.
-///
 /// Fault injection (CI chaos testing): the SEGA_SWEEP_FAULT environment
 /// variable `kill-after:<k>` / `stall-after:<k>` (optional
 /// `:prob=<p>`/`:seed=<s>`/`:attempts=<n>` suffixes, see docs/TESTING.md)
 /// makes the worker _Exit(86) or hang forever after its k-th completed
-/// cell, after persisting its memo delta/heartbeat/index — the crash the
+/// cell, after persisting its memo delta and heartbeat — the crash the
 /// orchestrate supervisor must recover from.  The fault arms only when the
 /// SEGA_SWEEP_ATTEMPT ordinal (set by the supervisor per retry) is below
 /// `attempts`, so retried workers run clean.  A malformed SEGA_SWEEP_FAULT

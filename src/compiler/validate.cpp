@@ -44,14 +44,6 @@ std::optional<ValidateSpec> ValidateSpec::from_json(const Json& json,
         return fail("rtl_cache_file must be a string path");
       }
       spec.rtl_cache_file = value.as_string();
-    } else if (key == "calibration_file") {
-      // Intercepted here, never forwarded into the sweep spec: the knee DSE
-      // always runs uncalibrated (see validate.h), so the inner sweep's
-      // checkpoint/memo fingerprints are identical either way.
-      if (!value.is_string()) {
-        return fail("calibration_file must be a string path");
-      }
-      spec.calibration_file = value.as_string();
     } else if (key == "cost_model") {
       return fail("validate always compares analytic vs rtl; "
                   "'cost_model' is not a validate key");
@@ -84,7 +76,6 @@ Json ValidateSpec::to_json() const {
   }
   j["tolerance"] = tolerance;
   if (!rtl_cache_file.empty()) j["rtl_cache_file"] = rtl_cache_file;
-  if (!calibration_file.empty()) j["calibration_file"] = calibration_file;
   return j;
 }
 
@@ -181,9 +172,15 @@ ValidateReport run_validate(const Compiler& compiler, const ValidateSpec& spec,
 
   // --- 1. analytic knee points via the sweep engine -----------------------
   // The full parallel/cached/checkpointed machinery applies unchanged; the
-  // backend is forced analytic (the comparison baseline).
+  // backend is forced analytic (the comparison baseline) and the knee DSE
+  // always runs uncalibrated (see ValidateSpec::sweep), so the knee set,
+  // the RTL work and the inner checkpoint/memo are identical with and
+  // without an artifact.
+  EvalConfig analytic_eval = spec.sweep.eval;
+  analytic_eval.backend = CostModelKind::kAnalytic;
   SweepSpec grid = spec.sweep;
-  grid.cost_model = CostModelKind::kAnalytic;
+  grid.eval = analytic_eval;
+  grid.eval.calibration_file.clear();
   std::string sweep_error;
   const SweepResult cells = run_sweep(compiler, grid, &sweep_error);
   if (!sweep_error.empty()) return validate_fail(sweep_error, error);
@@ -203,9 +200,9 @@ ValidateReport run_validate(const Compiler& compiler, const ValidateSpec& spec,
     // With --layout both columns fold the identical analytic wire-energy
     // term over the same elaborated netlist, so the envelope directions the
     // gate below asserts are preserved.
-    rtl_options.layout = grid.layout;
+    rtl_options.layout = grid.eval.layout;
     owned_model = std::make_unique<const RtlCostModel>(
-        compiler.technology(), grid.conditions, rtl_options);
+        compiler.technology(), grid.eval.conditions, rtl_options);
     owned_cache = std::make_unique<CostCache>(*owned_model);
     rtl_cache = owned_cache.get();
     if (!spec.rtl_cache_file.empty()) {
@@ -254,24 +251,20 @@ ValidateReport run_validate(const Compiler& compiler, const ValidateSpec& spec,
   for (std::size_t i = 0; i < cells.cells.size(); ++i) {
     analytic[i] = cells.cells[i].knee.metrics;
   }
-  if (!spec.calibration_file.empty()) {
+  if (!analytic_eval.calibration_file.empty()) {
     std::string cal_error;
-    auto cal = load_calibration_for(spec.calibration_file,
-                                    compiler.technology(), grid.conditions,
-                                    &cal_error);
-    if (!cal) return validate_fail(cal_error, error);
-    const AnalyticCostModel calibrated(
-        compiler.technology(), grid.conditions,
-        std::make_shared<const Calibration>(std::move(*cal)), grid.layout);
-    calibrated.evaluate_batch(Span<const DesignPoint>(knees),
-                              Span<MacroMetrics>(analytic));
-    report.calibration = calibrated.calibration()->digest();
+    const auto calibrated =
+        analytic_eval.make_model(compiler.technology(), &cal_error);
+    if (!calibrated) return validate_fail(cal_error, error);
+    calibrated->evaluate_batch(Span<const DesignPoint>(knees),
+                               Span<MacroMetrics>(analytic));
+    report.calibration = calibrated->calibration()->digest();
   }
   for (std::size_t i = 0; i < cells.cells.size(); ++i) {
     const SweepCell& cell = cells.cells[i];
     report.rows.push_back(build_row(cell.wstore, cell.precision,
                                     cell.knee.point, analytic[i], measured[i],
-                                    grid.conditions, spec.tolerance,
+                                    grid.eval.conditions, spec.tolerance,
                                     !report.calibration.empty()));
   }
   return report;
@@ -447,7 +440,7 @@ std::optional<CalibrationReport> run_validate_calibrate(
     const Compiler& compiler, const ValidateSpec& spec,
     const std::string& artifact_out, std::string* error) {
   if (error) error->clear();
-  if (!spec.calibration_file.empty()) {
+  if (!spec.sweep.eval.calibration_file.empty()) {
     return calibrate_fail(
         "validate --calibrate fits a fresh artifact; it cannot run under a "
         "preloaded one (--calibration / calibration_file)",
@@ -478,7 +471,8 @@ std::optional<CalibrationReport> run_validate_calibrate(
     corpus.push_back(CalibrationSample{row.knee, row.rtl});
   }
   std::string fit_error;
-  auto fitted = fit_calibration(compiler.technology(), spec.sweep.conditions,
+  auto fitted = fit_calibration(compiler.technology(),
+                                spec.sweep.eval.conditions,
                                 std::move(corpus), &fit_error, &report.fits);
   if (!fitted) return calibrate_fail(fit_error, error);
   const auto cal = std::make_shared<const Calibration>(std::move(*fitted));
@@ -499,8 +493,8 @@ std::optional<CalibrationReport> run_validate_calibrate(
   for (const auto& row : report.before.rows) knees.push_back(row.knee);
   std::vector<MacroMetrics> analytic(knees.size());
   const AnalyticCostModel calibrated(compiler.technology(),
-                                     spec.sweep.conditions, cal,
-                                     spec.sweep.layout);
+                                     spec.sweep.eval.conditions, cal,
+                                     spec.sweep.eval.layout);
   calibrated.evaluate_batch(Span<const DesignPoint>(knees),
                             Span<MacroMetrics>(analytic));
   report.after.tolerance = spec.tolerance;
@@ -514,7 +508,7 @@ std::optional<CalibrationReport> run_validate_calibrate(
     const ValidateRow& b = report.before.rows[i];
     report.after.rows.push_back(build_row(b.wstore, b.precision, b.knee,
                                           analytic[i], b.rtl,
-                                          spec.sweep.conditions,
+                                          spec.sweep.eval.conditions,
                                           spec.tolerance,
                                           /*calibrated=*/true));
   }

@@ -45,10 +45,24 @@
 namespace sega {
 
 struct ValidateSpec {
-  /// The knee-point grid and DSE configuration.  Defaults to a small grid
-  /// (the RTL side elaborates and gate-simulates every knee): one Wstore
-  /// column across the INT8 / FP16 / FP32 corners.  cost_model is ignored —
-  /// validate always runs analytic DSE and compares against RTL.
+  /// The knee-point grid, DSE configuration and evaluation config.
+  /// Defaults to a small grid (the RTL side elaborates and gate-simulates
+  /// every knee): one Wstore column across the INT8 / FP16 / FP32 corners.
+  /// sweep.eval.backend is ignored — validate always runs analytic DSE and
+  /// compares against RTL.
+  ///
+  /// sweep.eval.calibration_file (spec key "calibration_file", CLI
+  /// --calibration) is the artifact the *comparison* runs under; empty
+  /// compares the uncalibrated model.  It never reaches the inner sweep:
+  /// knee points are always selected by the uncalibrated analytic DSE, so
+  /// the knee set, the RTL measurements, and the inner sweep's
+  /// checkpoint/memo are identical with and without an artifact — a
+  /// calibrated validate reuses a warm RTL memo with zero new elaborations,
+  /// and only the analytic column of the comparison changes.  The gates
+  /// change too: a calibrated model is a best fit centered on the
+  /// measurements, not a one-sided envelope, so every metric gates on the
+  /// symmetric relative error <= tolerance instead of the envelope bounds
+  /// above.  Resolving hard-errors on a damaged or mismatched artifact.
   SweepSpec sweep;
 
   /// Gate for the relative-error metrics and the energy-ratio upper bound.
@@ -58,20 +72,6 @@ struct ValidateSpec {
   /// side persists via sweep.cache_file).  Separate files are required —
   /// the two backends' fingerprints never match.
   std::string rtl_cache_file;
-
-  /// Calibration artifact the *comparison* runs under (spec key
-  /// "calibration_file", CLI --calibration); empty compares the uncalibrated
-  /// model.  Deliberately NOT forwarded to the inner sweep: knee points are
-  /// always selected by the uncalibrated analytic DSE, so the knee set, the
-  /// RTL measurements, and the inner sweep's checkpoint/memo are identical
-  /// with and without an artifact — a calibrated validate reuses a warm RTL
-  /// memo with zero new elaborations, and only the analytic column of the
-  /// comparison changes.  The gates change too: a calibrated model is a
-  /// best fit centered on the measurements, not a one-sided envelope, so
-  /// every metric gates on the symmetric relative error <= tolerance
-  /// instead of the envelope bounds above.  Loading hard-errors on a
-  /// damaged or mismatched artifact.
-  std::string calibration_file;
 
   /// When non-null, measure the knees through this externally owned RTL
   /// cache (the serve daemon's warm cross-client cache) instead of a local
@@ -175,9 +175,9 @@ struct CalibrationReport {
 
 /// Fit a calibration over the validate grid's measured knee corpus, save the
 /// artifact to @p artifact_out (atomically), and re-compare the knees
-/// through the calibrated model.  spec.calibration_file must be empty (a
-/// fresh fit and a preloaded artifact are mutually exclusive).  Errors —
-/// sweep/memo failures, an empty corpus, a rank-deficient fit, an
+/// through the calibrated model.  spec.sweep.eval.calibration_file must be
+/// empty (a fresh fit and a preloaded artifact are mutually exclusive).
+/// Errors — sweep/memo failures, an empty corpus, a rank-deficient fit, an
 /// unwritable artifact — follow run_validate's contract: *error + nullopt
 /// when @p error is non-null, abort otherwise.
 std::optional<CalibrationReport> run_validate_calibrate(

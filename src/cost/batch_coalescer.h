@@ -7,7 +7,7 @@
 // amortize per-batch overhead across callers — each session's cold
 // remainder reaches the underlying model as its own (often tiny) batch,
 // and the analytic backend's batched path (hoisted context, shared module
-// memo, SoA metric derivation) pays its setup per call.  The coalescer is
+// memo) pays its setup per call.  The coalescer is
 // the admission queue under the cache: concurrently arriving small batches
 // are funneled through a leader thread that drains every queued request
 // into ONE call on the wrapped model, in the group-commit style — while the

@@ -18,15 +18,6 @@ namespace sega {
 
 namespace {
 
-std::uint32_t fnv1a32(const std::string& bytes) {
-  std::uint32_t hash = 2166136261u;  // FNV-1a offset basis
-  for (const char c : bytes) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 16777619u;  // FNV prime
-  }
-  return hash;
-}
-
 /// Canonical corpus order (sort-before-solve): the cost-affecting design
 /// point fields, in CostCache-key order.
 auto point_order_key(const DesignPoint& dp) {

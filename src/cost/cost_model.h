@@ -5,8 +5,8 @@
 // to the free evaluate_macro function.  The interface is batch-oriented:
 // evaluate_batch() is the hot entry point, and pool tasks submit whole
 // batches of design points instead of single ones, so an implementation can
-// amortize per-batch work (hoisted EvalContext, module-cost memoization,
-// structure-of-arrays metric derivation) across many points.
+// amortize per-batch work (hoisted EvalContext, module-cost memoization)
+// across many points.
 //
 // AnalyticCostModel is the paper's Table II-VI model.  Its batched path is
 // bit-identical to the scalar evaluate_macro reference — same stages, same
@@ -80,53 +80,37 @@ enum class CostModelKind {
 const char* cost_model_kind_name(CostModelKind kind);
 std::optional<CostModelKind> cost_model_kind_from_name(const std::string& name);
 
+/// The one diagnostic for a calibration artifact combined with the rtl
+/// backend: the artifact was fitted *against* that backend's measurements.
+extern const char* const kRtlCalibrationError;
+
 /// Construct the chosen backend.  The model keeps a pointer to @p tech; the
-/// technology must outlive it.
-std::unique_ptr<CostModel> make_cost_model(CostModelKind kind,
-                                           const Technology& tech,
-                                           EvalConditions cond = {});
-
-/// Construct the chosen backend with a calibration applied.  Only the
-/// analytic backend accepts one (the RTL model *is* the measurement);
-/// kind == kRtl with a non-null @p cal is a hard error.  A null @p cal is
-/// exactly make_cost_model(kind, tech, cond).
+/// technology must outlive it.  @p cal applies a calibration artifact; only
+/// the analytic backend accepts one, so kind == kRtl with a non-null @p cal
+/// throws std::runtime_error(kRtlCalibrationError).  @p layout folds the
+/// layout/interconnect stage (layout_cost.h) into either backend's metrics.
+/// EvalConfig::make_model (eval_config.h) is the checked entry point that
+/// builds this from a spec or the CLI.
 std::unique_ptr<CostModel> make_cost_model(
-    CostModelKind kind, const Technology& tech, EvalConditions cond,
-    std::shared_ptr<const Calibration> cal);
-
-/// Construct the chosen backend with a calibration and the layout/
-/// interconnect stage toggle.  @p layout == false is exactly the four-arg
-/// overload.  Either backend accepts the layout stage; the calibration rule
-/// of the four-arg overload is unchanged.
-std::unique_ptr<CostModel> make_cost_model(
-    CostModelKind kind, const Technology& tech, EvalConditions cond,
-    std::shared_ptr<const Calibration> cal, bool layout);
+    CostModelKind kind, const Technology& tech, EvalConditions cond = {},
+    std::shared_ptr<const Calibration> cal = nullptr, bool layout = false);
 
 /// The analytic model of Tables II-VI: EvalContext -> gate census ->
 /// component costing -> absolute-metric derivation.  The context is hoisted
 /// to construction; the batch path additionally shares a module-cost memo
-/// across the batch and derives the absolute metrics with structure-of-
-/// arrays loops over the whole batch.
+/// across the batch.
 class AnalyticCostModel final : public CostModel {
  public:
   /// The model keeps a pointer to @p tech; the technology must outlive it.
-  explicit AnalyticCostModel(const Technology& tech, EvalConditions cond = {});
-
-  /// The calibrated analytic model: derive_metrics_calibrated per point.
-  /// A null @p cal is exactly the uncalibrated model.  The calibrated batch
-  /// path is per-point pure (fixed-order scalar derivation under a shared
-  /// module-cost memo), so results are bit-identical at any thread count
-  /// and to fit-time re-evaluation.
-  AnalyticCostModel(const Technology& tech, EvalConditions cond,
-                    std::shared_ptr<const Calibration> cal);
-
-  /// The full-identity constructor: calibration plus the layout stage
-  /// toggle.  With @p layout, every evaluation path (scalar, calibrated
-  /// loop, SoA batch) builds the macro netlist, floorplans it, and folds
-  /// the wire parasitics (layout_cost.h) after metric derivation; the fold
-  /// is per-point pure, so batches stay bit-identical to the scalar path.
-  AnalyticCostModel(const Technology& tech, EvalConditions cond,
-                    std::shared_ptr<const Calibration> cal, bool layout);
+  /// A null @p cal is the uncalibrated model; otherwise every evaluation
+  /// derives through derive_metrics_calibrated.  With @p layout, every
+  /// evaluation also builds the macro netlist, floorplans it, and folds the
+  /// wire parasitics (layout_cost.h) after metric derivation.  Both stages
+  /// are per-point pure, so batches stay bit-identical to the scalar path
+  /// at any thread count and to the fitter's own re-evaluation.
+  explicit AnalyticCostModel(const Technology& tech, EvalConditions cond = {},
+                             std::shared_ptr<const Calibration> cal = nullptr,
+                             bool layout = false);
 
   const Technology& tech() const override { return ctx_.tech(); }
   const EvalConditions& conditions() const override {
@@ -142,6 +126,9 @@ class AnalyticCostModel final : public CostModel {
                       Span<MacroMetrics> out) const override;
 
  private:
+  /// Stages after the census: costing, derivation, and the layout fold.
+  MacroMetrics derive(const DesignPoint& dp, const MacroCensus& census) const;
+
   EvalContext ctx_;
   std::shared_ptr<const Calibration> cal_;
   bool layout_ = false;

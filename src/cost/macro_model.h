@@ -18,9 +18,8 @@
 //   derive_metrics     — absolute-metric derivation through the EvalContext
 //
 // evaluate_macro() composes the stages and is the scalar reference path;
-// AnalyticCostModel::evaluate_batch (cost_model.h) runs the same stages with
-// structure-of-arrays inner loops and a per-batch module-cost memo, producing
-// bit-identical metrics.
+// AnalyticCostModel::evaluate_batch (cost_model.h) runs the same stages per
+// point under a per-batch module-cost memo, producing bit-identical metrics.
 #pragma once
 
 #include <array>

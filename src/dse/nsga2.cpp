@@ -224,6 +224,8 @@ std::vector<DesignPoint> nsga2_optimize(const DesignSpace& space,
   if (options.threads > 0) owned = std::make_unique<ThreadPool>(options.threads);
   ThreadPool& pool = owned ? *owned : ThreadPool::global();
 
+  if (space.genome_range_empty()) return {};
+
   // --- initial population ---
   Archive archive;
   CandidateBatch init;

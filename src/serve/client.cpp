@@ -85,9 +85,9 @@ bool daemon_eligible(const std::vector<std::string>& argv) {
       command != "validate") {
     return false;
   }
-  static const char* const kLocalOnly[] = {
-      "--tech",        "--cache-file", "--rtl-cache-file",
-      "--spawn-local", "--shard",      "--resume-summary"};
+  static const char* const kLocalOnly[] = {"--tech", "--cache-file",
+                                           "--rtl-cache-file", "--shard",
+                                           "--resume-summary"};
   for (const std::string& arg : argv) {
     for (const char* flag : kLocalOnly) {
       if (arg == flag) return false;

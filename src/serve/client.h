@@ -23,7 +23,7 @@ std::string default_socket_path();
 
 /// True when @p argv may be served by a daemon: one of compile / explore /
 /// sweep / validate, without the flags the daemon rejects (--tech,
-/// --cache-file, --rtl-cache-file, --spawn-local, --shard) and without
+/// --cache-file, --rtl-cache-file, --shard) and without
 /// --resume-summary (a local file inspection; nothing to warm).
 bool daemon_eligible(const std::vector<std::string>& argv);
 

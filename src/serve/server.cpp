@@ -31,12 +31,11 @@ bool command_rejected(const std::string& command) {
 }
 
 /// Flags that would give one request a private environment (its own
-/// technology or memo files) or fork worker processes — both incompatible
-/// with shared resident state.  The client never forwards them; rejecting
-/// them here too keeps hand-written clients honest.
+/// technology or memo files) or a slice of a multi-process sweep — both
+/// incompatible with shared resident state.  The client never forwards
+/// them; rejecting them here too keeps hand-written clients honest.
 const char* const kRejectedFlags[] = {"--tech", "--cache-file",
-                                      "--rtl-cache-file", "--spawn-local",
-                                      "--shard"};
+                                      "--rtl-cache-file", "--shard"};
 
 bool run_request_allowed(const std::vector<std::string>& argv,
                          std::string* reject) {
@@ -75,26 +74,6 @@ bool run_request_cacheable(const std::vector<std::string>& argv) {
     }
   }
   return true;
-}
-
-/// FNV-1a over the cache-config key material — the stable suffix of a
-/// per-config memo delta file name.  The uncalibrated, layout-off material
-/// is exactly the historical format, so existing delta files keep their
-/// names; a calibrated stack appends the artifact digest, a layout-enabled
-/// stack appends "|layout", and each gets its own delta.
-std::uint32_t config_hash(CostModelKind kind, const EvalConditions& cond,
-                          const std::string& calibration_digest, bool layout) {
-  std::string material =
-      strfmt("%d|%.17g|%.17g|%.17g", static_cast<int>(kind), cond.supply_v,
-             cond.input_sparsity, cond.activity);
-  if (!calibration_digest.empty()) material += "|" + calibration_digest;
-  if (layout) material += "|layout";
-  std::uint32_t h = 2166136261u;
-  for (const char c : material) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 16777619u;
-  }
-  return h;
 }
 
 Json coalescer_json(const BatchCoalescer& c) {
@@ -322,51 +301,32 @@ int ServeServer::execute(const std::vector<std::string>& argv,
                          const std::function<void(const Json&)>& progress) {
   CliHooks hooks;
   hooks.tech = &tech_;
-  hooks.cache_for = [this](CostModelKind kind, const EvalConditions& cond,
-                           const std::string& calibration_file, bool layout) {
-    return cache_for(kind, cond, calibration_file, layout);
-  };
+  hooks.cache_for = [this](const EvalConfig& eval) { return cache_for(eval); };
   hooks.sweep_progress = progress;
   return run_cli_hooked(argv, out, err, hooks);
 }
 
-CostCache* ServeServer::cache_for(CostModelKind kind,
-                                  const EvalConditions& cond,
-                                  const std::string& calibration_file,
-                                  bool layout) {
-  // A calibrated stack is keyed by the artifact's *content digest*, never
-  // the request's path string.  Load failures return null: the request then
-  // builds its own stack in-process and surfaces the loader's diagnostic —
-  // the daemon must not invent a different error path.
-  std::shared_ptr<const Calibration> calibration;
-  if (!calibration_file.empty()) {
-    if (kind != CostModelKind::kAnalytic) return nullptr;
-    std::string cal_error;
-    auto loaded = load_calibration_for(calibration_file, tech_, cond,
-                                       &cal_error);
-    if (!loaded) return nullptr;
-    calibration = std::make_shared<const Calibration>(std::move(*loaded));
-  }
-  const std::string digest = calibration ? calibration->digest() : "";
-  const CacheKey key{static_cast<int>(kind),  cond.supply_v,
-                     cond.input_sparsity,     cond.activity,
-                     digest,                  layout};
+CostCache* ServeServer::cache_for(const EvalConfig& eval) {
+  // Resolution failures return null: the request then resolves again
+  // in-process and surfaces the resolver's diagnostic — the daemon must not
+  // invent a different error path.  Resolving per request re-reads a named
+  // artifact, so an edited artifact is keyed by its new digest.
+  std::unique_ptr<CostModel> model = eval.make_model(tech_, nullptr);
+  if (!model) return nullptr;
+  const std::string identity = eval.identity(model->calibration().get());
   std::lock_guard<std::mutex> lock(caches_mu_);
-  const auto it = caches_.find(key);
+  const auto it = caches_.find(identity);
   if (it != caches_.end()) return it->second.cache.get();
 
   CacheStack stack;
-  stack.kind = kind;
-  stack.cond = cond;
-  stack.calibration_digest = digest;
-  stack.layout = layout;
-  auto coalescer = std::make_unique<BatchCoalescer>(
-      make_cost_model(kind, tech_, cond, calibration, layout));
+  auto coalescer = std::make_unique<BatchCoalescer>(std::move(model));
   stack.coalescer = coalescer.get();
   stack.cache = std::make_unique<CostCache>(std::move(coalescer));
   if (!opts_.cache_file.empty()) {
+    // Delta files are persisted under this name: identity() keeps its
+    // byte format (test_eval_identity pins the names).
     stack.delta_path = strfmt("%s.serve-%08x", opts_.cache_file.c_str(),
-                              config_hash(kind, cond, digest, layout));
+                              fnv1a32(identity));
     // The base memo carries ONE fingerprint; a mismatch just means it
     // belongs to a different configuration — skipped, never fatal.  Base
     // entries are marked imported so the shutdown flush writes only this
@@ -387,7 +347,7 @@ CostCache* ServeServer::cache_for(CostModelKind kind,
   // forced (shutdown) flush still writes the delta unconditionally.
   stack.flushed_size = stack.cache->size();
   CostCache* raw = stack.cache.get();
-  caches_.emplace(key, std::move(stack));
+  caches_.emplace(identity, std::move(stack));
   return raw;
 }
 
@@ -431,15 +391,16 @@ Json ServeServer::status_json() const {
     std::lock_guard<std::mutex> lock(caches_mu_);
     for (const auto& [key, stack] : caches_) {
       (void)key;
+      const CostCache& cache = *stack.cache;
       Json c = Json::object();
-      c["backend"] = cost_model_kind_name(stack.kind);
-      c["supply_v"] = stack.cond.supply_v;
-      c["input_sparsity"] = stack.cond.input_sparsity;
-      c["activity"] = stack.cond.activity;
-      if (!stack.calibration_digest.empty()) {
-        c["calibration"] = stack.calibration_digest;
+      c["backend"] = cache.model_name();
+      c["supply_v"] = cache.conditions().supply_v;
+      c["input_sparsity"] = cache.conditions().input_sparsity;
+      c["activity"] = cache.conditions().activity;
+      if (const auto cal = cache.calibration()) {
+        c["calibration"] = cal->digest();
       }
-      if (stack.layout) c["layout"] = true;
+      if (cache.layout_enabled()) c["layout"] = true;
       c["entries"] = static_cast<std::uint64_t>(stack.cache->size());
       c["hits"] = stack.cache->hits();
       c["misses"] = stack.cache->misses();

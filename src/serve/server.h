@@ -12,16 +12,15 @@
 //   response   identical finished requests replay cached bytes
 //   request    identical concurrent requests execute once (RequestBroker)
 //   point      distinct requests overlapping in evaluated design points
-//              share one warm CostCache per (backend, conditions), with a
+//              share one warm CostCache per evaluation config, with a
 //              BatchCoalescer underneath merging small concurrent batches
 //
 // Requests dispatch through run_cli_hooked — the *same* code path as the
 // standalone binary — so a daemon response is byte-identical to
 // `--no-daemon` output by construction.  Commands that would give the
 // daemon a private environment (--tech, --cache-file, --rtl-cache-file) or
-// process-level semantics (--spawn-local, --shard, orchestrate,
-// sweep-merge, memo-compact, serve) are rejected; the thin client runs
-// those in-process instead.
+// process-level semantics (--shard, orchestrate, sweep-merge, memo-compact,
+// serve) are rejected; the thin client runs those in-process instead.
 //
 // Memo persistence: with ServeOptions::cache_file set, each per-config
 // cache seeds from that base memo (entries marked imported) plus its own
@@ -42,10 +41,10 @@
 #include <ostream>
 #include <string>
 #include <thread>
-#include <tuple>
 
 #include "cost/batch_coalescer.h"
 #include "cost/cost_cache.h"
+#include "cost/eval_config.h"
 #include "serve/broker.h"
 #include "serve/protocol.h"
 #include "tech/technology.h"
@@ -96,18 +95,15 @@ class ServeServer {
   /// every 200 ms — the signal-flag check of the foreground daemon).
   void wait(const std::function<bool()>& interrupted);
 
-  /// The shared warm cache for (backend, conditions, calibration artifact,
-  /// layout toggle), created on first use: CostCache over BatchCoalescer
-  /// over make_cost_model.  Stable for the server's lifetime.  A non-empty
-  /// @p calibration_file keys a *separate* stack by the artifact's content
-  /// digest (calibrated and uncalibrated memos must never mix); when the
-  /// artifact fails to load this returns null and the request's in-process
-  /// fallback path surfaces the diagnostic.  @p layout likewise keys a
-  /// separate stack — layout-on and layout-off metrics (and memo
-  /// fingerprints) differ.
-  CostCache* cache_for(CostModelKind kind, const EvalConditions& cond,
-                       const std::string& calibration_file = "",
-                       bool layout = false);
+  /// The shared warm cache for an evaluation config, created on first use:
+  /// CostCache over BatchCoalescer over the model @p eval resolves to.
+  /// Stable for the server's lifetime.  Stacks are keyed by the resolved
+  /// config's identity (EvalConfig::identity) — the artifact's content
+  /// digest, never its path, so two paths to the same artifact share one
+  /// stack and an edited artifact gets a fresh one.  When @p eval fails to
+  /// resolve this returns null and the request's in-process fallback path
+  /// surfaces the resolver's diagnostic.
+  CostCache* cache_for(const EvalConfig& eval);
 
   /// The `serve --status` payload: pid/socket, broker counters, per-config
   /// cache + coalescer counters, active connection count.
@@ -126,12 +122,8 @@ class ServeServer {
     std::atomic<bool> done{false};
   };
 
-  /// One (backend, conditions, calibration, layout) evaluation stack.
+  /// One evaluation stack; its model carries the config it was built for.
   struct CacheStack {
-    CostModelKind kind = CostModelKind::kAnalytic;
-    EvalConditions cond;
-    std::string calibration_digest;  ///< empty for the uncalibrated stack
-    bool layout = false;
     std::unique_ptr<CostCache> cache;
     const BatchCoalescer* coalescer = nullptr;
     std::string delta_path;  ///< empty when persistence is off
@@ -140,10 +132,6 @@ class ServeServer {
     /// skips stacks that have not grown since.
     std::size_t flushed_size = 0;
   };
-  /// (kind, supply, sparsity, activity, calibration digest, layout) — the
-  /// digest, never the artifact path, so two paths to the same artifact
-  /// share one stack and an edited artifact gets a fresh one.
-  using CacheKey = std::tuple<int, double, double, double, std::string, bool>;
 
   void accept_loop();
   void reap_finished();
@@ -174,7 +162,7 @@ class ServeServer {
   int next_session_ = 0;
 
   mutable std::mutex caches_mu_;
-  std::map<CacheKey, CacheStack> caches_;
+  std::map<std::string, CacheStack> caches_;  ///< by EvalConfig::identity
 
   /// Periodic delta-flush cadence: after this many completed run requests
   /// the accept loop persists grown memo deltas, so a crashed or SIGKILLed

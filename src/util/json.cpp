@@ -462,12 +462,7 @@ std::uint32_t json_line_checksum(const Json& line) {
     text += value.dump();
   }
   text += '}';
-  std::uint32_t hash = 2166136261u;  // FNV-1a offset basis
-  for (const char ch : text) {
-    hash ^= static_cast<unsigned char>(ch);
-    hash *= 16777619u;  // FNV prime
-  }
-  return hash;
+  return fnv1a32(text);
 }
 
 void stamp_line_checksum(Json* line) {

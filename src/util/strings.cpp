@@ -122,12 +122,17 @@ std::string shard_file_path(const std::string& base, int index, int count) {
   return strfmt("%s.shard-%d-of-%d", base.c_str(), index, count);
 }
 
-std::string index_file_path(const std::string& checkpoint) {
-  return checkpoint + ".idx";
-}
-
 std::string heartbeat_file_path(const std::string& checkpoint) {
   return checkpoint + ".hb";
+}
+
+std::uint32_t fnv1a32(const std::string& bytes) {
+  std::uint32_t hash = 2166136261u;  // FNV-1a offset basis
+  for (const char c : bytes) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 16777619u;  // FNV prime
+  }
+  return hash;
 }
 
 }  // namespace sega

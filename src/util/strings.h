@@ -2,6 +2,7 @@
 // identifier mangling for generated RTL).
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -43,15 +44,14 @@ bool starts_with(const std::string& s, const std::string& prefix);
 /// Requires count >= 1 and 0 <= index < count.
 std::string shard_file_path(const std::string& base, int index, int count);
 
-/// `<checkpoint>.idx`: the index segment sitting next to a sweep checkpoint
-/// (unsharded base file or one shard file) — completed-cell-id ranges plus
-/// compact per-cell payloads so resume seeks instead of re-parsing every
-/// JSONL line (docs/FORMATS.md).
-std::string index_file_path(const std::string& checkpoint);
-
 /// `<checkpoint>.hb`: the heartbeat file a sweep worker appends liveness
 /// lines to (one per K completed cells); the orchestrate supervisor watches
 /// it to detect stalled workers (docs/FORMATS.md).
 std::string heartbeat_file_path(const std::string& checkpoint);
+
+/// FNV-1a (32-bit) of @p bytes — the one content hash behind the JSONL
+/// line checksums, the calibration artifact digest and serve's memo delta
+/// file names.  Its values are persisted in those formats: never change it.
+std::uint32_t fnv1a32(const std::string& bytes);
 
 }  // namespace sega

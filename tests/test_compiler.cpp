@@ -28,8 +28,8 @@ TEST(SpecJsonTest, ParsesFullSpec) {
   ASSERT_TRUE(spec.has_value()) << err;
   EXPECT_EQ(spec->wstore, 16384);
   EXPECT_EQ(spec->precision.name, "BF16");
-  EXPECT_DOUBLE_EQ(spec->conditions.supply_v, 0.8);
-  EXPECT_DOUBLE_EQ(spec->conditions.input_sparsity, 0.1);
+  EXPECT_DOUBLE_EQ(spec->eval.conditions.supply_v, 0.8);
+  EXPECT_DOUBLE_EQ(spec->eval.conditions.input_sparsity, 0.1);
   EXPECT_EQ(spec->distill, DistillPolicy::kMinArea);
   EXPECT_EQ(spec->max_selected, 2);
   EXPECT_EQ(spec->dse.population, 48);

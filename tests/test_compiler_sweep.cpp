@@ -388,7 +388,7 @@ TEST(SweepSpecJsonTest, RoundTripsAndRejectsUnknownKeys) {
   EXPECT_EQ(parsed->wstores, (std::vector<std::int64_t>{4096, 8192}));
   ASSERT_EQ(parsed->precisions.size(), 2u);
   EXPECT_EQ(parsed->precisions[1].name, "BF16");
-  EXPECT_DOUBLE_EQ(parsed->conditions.input_sparsity, 0.1);
+  EXPECT_DOUBLE_EQ(parsed->eval.conditions.input_sparsity, 0.1);
   EXPECT_EQ(parsed->dse.seed, 7u);
   EXPECT_EQ(parsed->dse.threads, 2);
   EXPECT_EQ(parsed->checkpoint, "ck.jsonl");
@@ -438,11 +438,11 @@ TEST(SweepSpecJsonTest, RoundTripsAndRejectsUnknownKeys) {
                    .has_value());
   // cost_model: selectable backend, round-trips, bad values are parse
   // errors (wrong type, unknown backend).
-  EXPECT_EQ(SweepSpec{}.cost_model, CostModelKind::kAnalytic);
+  EXPECT_EQ(SweepSpec{}.eval.backend, CostModelKind::kAnalytic);
   const auto rtl = SweepSpec::from_json(*Json::parse(R"({"cost_model": "rtl"})"));
   ASSERT_TRUE(rtl.has_value());
-  EXPECT_EQ(rtl->cost_model, CostModelKind::kRtl);
-  EXPECT_EQ(SweepSpec::from_json(rtl->to_json())->cost_model,
+  EXPECT_EQ(rtl->eval.backend, CostModelKind::kRtl);
+  EXPECT_EQ(SweepSpec::from_json(rtl->to_json())->eval.backend,
             CostModelKind::kRtl);
   EXPECT_FALSE(SweepSpec::from_json(*Json::parse(R"({"cost_model": 1})"))
                    .has_value());
@@ -463,7 +463,7 @@ TEST_F(SweepCheckpointTest, CostModelIsPartOfTheCheckpointFingerprint) {
   ASSERT_TRUE(error.empty()) << error;
 
   SweepSpec rtl = spec;
-  rtl.cost_model = CostModelKind::kRtl;
+  rtl.eval.backend = CostModelKind::kRtl;
   const SweepResult result = run_sweep(compiler, rtl, &error);
   EXPECT_FALSE(error.empty());
   EXPECT_NE(error.find("configuration"), std::string::npos);
@@ -479,7 +479,7 @@ TEST(SweepLayoutTest, LayoutOffIsByteIdenticalToDefaultSpec) {
   const Compiler compiler(Technology::tsmc28());
   const SweepResult plain = run_sweep(compiler, small_sweep());
   SweepSpec off = small_sweep();
-  off.layout = false;
+  off.eval.layout = false;
   const SweepResult result = run_sweep(compiler, off);
   EXPECT_EQ(plain.to_csv(), result.to_csv());
   EXPECT_EQ(plain.to_json().dump(2), result.to_json().dump(2));
@@ -488,7 +488,7 @@ TEST(SweepLayoutTest, LayoutOffIsByteIdenticalToDefaultSpec) {
 TEST(SweepLayoutTest, LayoutOnChangesMetricsAndStaysThreadDeterministic) {
   const Compiler compiler(Technology::tsmc28());
   SweepSpec on = small_sweep();
-  on.layout = true;
+  on.eval.layout = true;
   on.dse.threads = 1;
   const SweepResult serial = run_sweep(compiler, on);
   EXPECT_NE(serial.to_csv(), run_sweep(compiler, small_sweep()).to_csv());
@@ -514,7 +514,7 @@ TEST_F(SweepCheckpointTest, LayoutIsPartOfTheCheckpointFingerprint) {
   ASSERT_TRUE(error.empty()) << error;
 
   SweepSpec on = off;
-  on.layout = true;
+  on.eval.layout = true;
   SweepResult result = run_sweep(compiler, on, &error);
   EXPECT_FALSE(error.empty());
   EXPECT_NE(error.find("configuration"), std::string::npos);
@@ -524,7 +524,7 @@ TEST_F(SweepCheckpointTest, LayoutIsPartOfTheCheckpointFingerprint) {
   run_sweep(compiler, on, &error);
   ASSERT_TRUE(error.empty()) << error;
   SweepSpec off_again = on;
-  off_again.layout = false;
+  off_again.eval.layout = false;
   result = run_sweep(compiler, off_again, &error);
   EXPECT_FALSE(error.empty());
   EXPECT_TRUE(result.cells.empty());
@@ -534,7 +534,7 @@ TEST(SweepLayoutSpecTest, LayoutKeyRoundTripsAndValidates) {
   const auto parsed = SweepSpec::from_json(*Json::parse(
       R"({"wstores": [4096], "precisions": ["INT8"], "layout": true})"));
   ASSERT_TRUE(parsed.has_value());
-  EXPECT_TRUE(parsed->layout);
+  EXPECT_TRUE(parsed->eval.layout);
   const Json j = parsed->to_json();
   EXPECT_TRUE(j.contains("layout"));
   // Off stays omitted — the serialized spec of a layout-off sweep is
@@ -904,7 +904,7 @@ TEST_F(SweepCacheFileTest, MismatchedMemoIsAnError) {
   // Same file, different conditions: the fingerprint must reject it rather
   // than mix stale numbers into fresh results.
   SweepSpec other = spec;
-  other.conditions.input_sparsity = 0.25;
+  other.eval.conditions.input_sparsity = 0.25;
   const SweepResult result = run_sweep(compiler, other, &error);
   EXPECT_FALSE(error.empty());
   EXPECT_TRUE(result.cells.empty());
@@ -984,38 +984,19 @@ TEST_F(SweepResumeSummaryTest, ErrorsOnMissingFileOrHeader) {
   EXPECT_NE(error.find("header"), std::string::npos);
 }
 
-// --- index segments + heartbeats --------------------------------------------
+// --- heartbeats --------------------------------------------------------------
 
-using SweepIndexTest = SweepCheckpointTest;
+using SweepHeartbeatTest = SweepCheckpointTest;
 
-TEST_F(SweepIndexTest, IndexAndHeartbeatWrittenAtCompletion) {
+TEST_F(SweepHeartbeatTest, HeartbeatWrittenAtCompletion) {
   const Compiler compiler(Technology::tsmc28());
   SweepSpec spec = small_sweep();
-  spec.checkpoint = ckpt("idx.jsonl");
+  spec.checkpoint = ckpt("hb.jsonl");
   spec.heartbeat_every = 1;
   std::string error;
   const SweepResult result = run_sweep(compiler, spec, &error);
   ASSERT_TRUE(error.empty()) << error;
   ASSERT_EQ(result.cells.size(), 4u);
-
-  // Index segment: magic header, one `cell` line per completed cell, a
-  // trailing checksum, and a byte count matching the checkpoint.
-  const std::string idx = test::read_file(index_file_path(spec.checkpoint));
-  EXPECT_EQ(idx.rfind("sega_sweep_idx 1 ", 0), 0u);
-  std::size_t cell_lines = 0;
-  for (std::size_t pos = idx.find("\ncell "); pos != std::string::npos;
-       pos = idx.find("\ncell ", pos + 1)) {
-    ++cell_lines;
-  }
-  EXPECT_EQ(cell_lines, 4u);
-  EXPECT_NE(idx.find("\nranges 0-3\n"), std::string::npos);
-  EXPECT_NE(idx.find("\nsum "), std::string::npos);
-  const auto head = split(idx.substr(0, idx.find('\n')), ' ');
-  ASSERT_EQ(head.size(), 5u);
-  EXPECT_EQ(head[1], "1");
-  EXPECT_EQ(head[2],
-            std::to_string(std::filesystem::file_size(spec.checkpoint)));
-  EXPECT_EQ(head[4], "4");
 
   // Heartbeat file: JSON lines with monotone `done` reaching `total`.
   const auto hb_lines =
@@ -1033,102 +1014,7 @@ TEST_F(SweepIndexTest, IndexAndHeartbeatWrittenAtCompletion) {
   EXPECT_EQ(prev_done, 4);
 }
 
-TEST_F(SweepIndexTest, IndexedResumeDoesNotReparseCoveredLines) {
-  // A genuine mid-run checkpoint + index, produced the way production makes
-  // them: a forked worker snapshotting every cell, killed by fault
-  // injection after two.
-  const Compiler compiler(Technology::tsmc28());
-  const SweepResult full = run_sweep(compiler, small_sweep());
-  SweepSpec spec = small_sweep();
-  spec.checkpoint = ckpt("prefix.jsonl");
-  spec.heartbeat_every = 1;
-  spec.dse.threads = 1;
-  const pid_t pid = ::fork();
-  ASSERT_GE(pid, 0);
-  if (pid == 0) {
-    ::setenv("SEGA_SWEEP_FAULT", "kill-after:2:attempts=1", 1);
-    std::string child_error;
-    run_sweep(compiler, spec, &child_error);
-    std::_Exit(3);  // the fault must _Exit(86) before we get here
-  }
-  int status = 0;
-  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
-  ASSERT_TRUE(WIFEXITED(status));
-  ASSERT_EQ(WEXITSTATUS(status), 86);
-  ASSERT_EQ(lines_of(spec.checkpoint).size(), 3u);  // header + 2 cells
-
-  // Overwrite the two covered cell lines with same-length garbage.  The
-  // index segment covers those bytes, so an indexed resume must never read
-  // them — while the full-parse fallback would fail to decode them and
-  // recompute (and re-append) both cells.
-  {
-    std::string text = test::read_file(spec.checkpoint);
-    std::size_t pos = text.find('\n') + 1;  // keep the header intact
-    for (; pos < text.size(); ++pos) {
-      if (text[pos] != '\n') text[pos] = 'x';
-    }
-    std::ofstream out(spec.checkpoint, std::ios::binary | std::ios::trunc);
-    out << text;
-  }
-  std::string error;
-  const SweepResult resumed = run_sweep(compiler, spec, &error);
-  ASSERT_TRUE(error.empty()) << error;
-  EXPECT_EQ(resumed.to_csv(), full.to_csv());
-  // header + 2 garbage lines + exactly the 2 missing cells appended: the
-  // covered cells were recovered from the index, not recomputed.
-  EXPECT_EQ(lines_of(spec.checkpoint).size(), 5u);
-}
-
-TEST_F(SweepIndexTest, StaleOrCorruptIndexFallsBackIdentically) {
-  const Compiler compiler(Technology::tsmc28());
-  SweepSpec spec = small_sweep();
-  spec.checkpoint = ckpt("stale.jsonl");
-  std::string error;
-  const SweepResult full = run_sweep(compiler, spec, &error);
-  ASSERT_TRUE(error.empty()) << error;
-  const std::string idx_path = index_file_path(spec.checkpoint);
-  const std::string good_ckpt = test::read_file(spec.checkpoint);
-  const std::string good_idx = test::read_file(idx_path);
-
-  const auto resume_matches = [&](const char* what) {
-    std::string resume_error;
-    const SweepResult resumed = run_sweep(compiler, spec, &resume_error);
-    EXPECT_TRUE(resume_error.empty()) << what << ": " << resume_error;
-    EXPECT_EQ(resumed.to_csv(), full.to_csv()) << what;
-  };
-
-  // Corrupt checksum -> silent full-parse fallback, same answer.
-  {
-    std::string bad = good_idx;
-    const std::size_t pos = bad.rfind("sum ");
-    ASSERT_NE(pos, std::string::npos);
-    bad.replace(pos, bad.size() - pos, "sum 1234\n");
-    test::write_file(idx_path, bad);
-  }
-  resume_matches("corrupt checksum");
-
-  // Truncated index (no trailing sum line at all).
-  test::write_file(idx_path, good_idx.substr(0, good_idx.size() / 2));
-  resume_matches("truncated index");
-
-  // Index claiming more checkpoint bytes than exist (checkpoint was
-  // truncated after the index was written): stale, must fall back and
-  // recompute the lost cell.
-  test::write_file(idx_path, good_idx);
-  {
-    const std::size_t last =
-        good_ckpt.rfind('\n', good_ckpt.size() - 2);  // drop the last cell
-    test::write_file(spec.checkpoint, good_ckpt.substr(0, last + 1));
-  }
-  resume_matches("stale index over truncated checkpoint");
-
-  // Missing index entirely.
-  test::write_file(spec.checkpoint, good_ckpt);
-  std::filesystem::remove(idx_path);
-  resume_matches("missing index");
-}
-
-TEST_F(SweepIndexTest, TailBytesPastIndexCoverageAreParsedNotTrusted) {
+TEST_F(SweepCheckpointTest, TornFragmentAfterCompleteCheckpointIsSkipped) {
   const Compiler compiler(Technology::tsmc28());
   SweepSpec spec = small_sweep();
   spec.checkpoint = ckpt("tail.jsonl");
@@ -1137,9 +1023,8 @@ TEST_F(SweepIndexTest, TailBytesPastIndexCoverageAreParsedNotTrusted) {
   ASSERT_TRUE(error.empty()) << error;
   const std::size_t lines_before = lines_of(spec.checkpoint).size();
 
-  // A torn write appended after the last index snapshot: the indexed
-  // resume must JSON-parse (and here, skip) the tail instead of trusting
-  // the index's byte count blindly.
+  // A torn write appended after the last complete line: resume parses (and
+  // skips) the fragment, recovers every cell from the lines before it.
   {
     std::ofstream out(spec.checkpoint, std::ios::binary | std::ios::app);
     out << R"({"cell":{"evaluations":12,"front_si)";
@@ -1151,33 +1036,7 @@ TEST_F(SweepIndexTest, TailBytesPastIndexCoverageAreParsedNotTrusted) {
   EXPECT_EQ(lines_of(spec.checkpoint).size(), lines_before + 1);
 }
 
-TEST_F(SweepIndexTest, MergeWritesUnifiedIndexUsableForResume) {
-  const Compiler compiler(Technology::tsmc28());
-  SweepSpec spec = small_sweep();
-  spec.checkpoint = ckpt("uni.jsonl");
-  for (int index = 0; index < 2; ++index) {
-    SweepSpec worker = spec;
-    worker.shard.index = index;
-    worker.shard.count = 2;
-    std::string error;
-    run_sweep(compiler, worker, &error);
-    ASSERT_TRUE(error.empty()) << error;
-  }
-  std::string error;
-  const SweepResult merged = merge_sweep_shards(compiler, spec, 2, &error);
-  ASSERT_TRUE(error.empty()) << error;
-
-  const std::string idx = test::read_file(index_file_path(spec.checkpoint));
-  EXPECT_EQ(idx.rfind("sega_sweep_idx 1 ", 0), 0u);
-  EXPECT_NE(idx.find("\nranges 0-3\n"), std::string::npos);
-  const auto before = lines_of(spec.checkpoint);
-  const SweepResult resumed = run_sweep(compiler, spec, &error);
-  ASSERT_TRUE(error.empty()) << error;
-  EXPECT_EQ(resumed.to_csv(), merged.to_csv());
-  EXPECT_EQ(lines_of(spec.checkpoint), before);  // nothing recomputed
-}
-
-TEST_F(SweepIndexTest, HeartbeatRequiresCheckpointAndRoundTripsAsSpec) {
+TEST_F(SweepHeartbeatTest, HeartbeatRequiresCheckpointAndRoundTripsAsSpec) {
   const Compiler compiler(Technology::tsmc28());
   SweepSpec spec = small_sweep();
   spec.heartbeat_every = 1;  // no checkpoint
@@ -1199,7 +1058,7 @@ TEST_F(SweepIndexTest, HeartbeatRequiresCheckpointAndRoundTripsAsSpec) {
   EXPECT_FALSE(SweepSpec{}.to_json().contains("heartbeat_every"));
 }
 
-TEST_F(SweepIndexTest, HeartbeatEveryIsNotPartOfTheFingerprint) {
+TEST_F(SweepHeartbeatTest, HeartbeatEveryIsNotPartOfTheFingerprint) {
   // Like threads, the heartbeat cadence is operational, not
   // result-affecting: a resume with a different cadence must accept the
   // checkpoint and recompute nothing.

@@ -569,11 +569,11 @@ TEST(CalibrateTest, SweepCheckpointFingerprintSeparatesCalibration) {
   // Calibrated checkpoint; uncalibrated resume must hard-error.
   SweepSpec calibrated = spec;
   calibrated.checkpoint = temp_path("calibrated.checkpoint.jsonl");
-  calibrated.calibration_file = artifact;
+  calibrated.eval.calibration_file = artifact;
   (void)run_sweep(compiler, calibrated, &error);
   ASSERT_TRUE(error.empty()) << error;
   SweepSpec resume_plain = calibrated;
-  resume_plain.calibration_file.clear();
+  resume_plain.eval.calibration_file.clear();
   (void)run_sweep(compiler, resume_plain, &error);
   EXPECT_FALSE(error.empty());
 
@@ -583,7 +583,7 @@ TEST(CalibrateTest, SweepCheckpointFingerprintSeparatesCalibration) {
   (void)run_sweep(compiler, plain, &error);
   ASSERT_TRUE(error.empty()) << error;
   SweepSpec resume_calibrated = plain;
-  resume_calibrated.calibration_file = artifact;
+  resume_calibrated.eval.calibration_file = artifact;
   (void)run_sweep(compiler, resume_calibrated, &error);
   EXPECT_FALSE(error.empty());
 }
@@ -605,16 +605,16 @@ TEST(CalibrateTest, RtlBackendRejectsCalibration) {
   CompilerSpec cspec;
   cspec.wstore = 512;
   cspec.precision = precision_int8();
-  cspec.cost_model = CostModelKind::kRtl;
-  cspec.calibration_file = artifact;
+  cspec.eval.backend = CostModelKind::kRtl;
+  cspec.eval.calibration_file = artifact;
   (void)compiler.run(cspec, nullptr, &error);
   EXPECT_NE(error.find("analytic"), std::string::npos) << error;
 
   SweepSpec sspec;
   sspec.wstores = {512};
   sspec.precisions = {precision_int8()};
-  sspec.cost_model = CostModelKind::kRtl;
-  sspec.calibration_file = artifact;
+  sspec.eval.backend = CostModelKind::kRtl;
+  sspec.eval.calibration_file = artifact;
   (void)run_sweep(compiler, sspec, &error);
   EXPECT_NE(error.find("analytic"), std::string::npos) << error;
 
@@ -627,22 +627,22 @@ TEST(CalibrateTest, RtlBackendRejectsCalibration) {
 
 TEST(CalibrateTest, ValidateSpecInterceptsCalibrationFile) {
   // "calibration_file" belongs to the comparison, never the inner knee DSE:
-  // the parsed sweep spec must stay uncalibrated so knee selection, RTL
-  // work, and the inner checkpoint/memo are identical with and without an
-  // artifact.
+  // it lands in the validate spec's evaluation config and run_validate
+  // strips it from the inner sweep, so knee selection, RTL work, and the
+  // inner checkpoint/memo are identical with and without an artifact
+  // (EndToEndEnvelopeRegression re-validates warm with zero elaborations).
   std::string error;
   const auto spec = ValidateSpec::from_json(
       *Json::parse(R"({"calibration_file": "x.cal", "tolerance": 0.5})"),
       &error);
   ASSERT_TRUE(spec.has_value()) << error;
-  EXPECT_EQ(spec->calibration_file, "x.cal");
-  EXPECT_TRUE(spec->sweep.calibration_file.empty());
+  EXPECT_EQ(spec->sweep.eval.calibration_file, "x.cal");
   const Json j = spec->to_json();
   ASSERT_TRUE(j.contains("calibration_file"));
   EXPECT_EQ(j.at("calibration_file").as_string(), "x.cal");
   const auto reparsed = ValidateSpec::from_json(j, &error);
   ASSERT_TRUE(reparsed.has_value()) << error;
-  EXPECT_EQ(reparsed->calibration_file, "x.cal");
+  EXPECT_EQ(reparsed->sweep.eval.calibration_file, "x.cal");
 
   EXPECT_FALSE(
       ValidateSpec::from_json(*Json::parse(R"({"calibration_file": 3})"))
@@ -663,7 +663,7 @@ TEST(CalibrateTest, CliRejectsCalibrateWithCalibration) {
 TEST(CalibrateTest, ValidateCalibrateRejectsPreloadedArtifact) {
   const Compiler compiler(Technology::tsmc28());
   ValidateSpec spec;
-  spec.calibration_file = temp_path("preloaded.cal");
+  spec.sweep.eval.calibration_file = temp_path("preloaded.cal");
   std::string error;
   EXPECT_FALSE(
       run_validate_calibrate(compiler, spec, temp_path("fresh.cal"), &error)
@@ -735,7 +735,7 @@ TEST(CalibrateTest, EndToEndEnvelopeRegression) {
   // Calibrated re-validate: identical knees (the DSE ran uncalibrated), a
   // warm RTL memo with zero elaborations, and the same after-rows.
   ValidateSpec calibrated = spec;
-  calibrated.calibration_file = artifact;
+  calibrated.sweep.eval.calibration_file = artifact;
   const ValidateReport after = run_validate(compiler, calibrated, &error);
   ASSERT_TRUE(error.empty()) << error;
   EXPECT_EQ(after.rtl_elaborations, 0u);

@@ -319,7 +319,7 @@ TEST(RtlCostModelTest, ValidateEnergyGateHoldsUnderSparsityDerating) {
     ValidateSpec spec;
     spec.sweep.wstores = {512};
     spec.sweep.precisions = {precision_int8()};
-    spec.sweep.conditions.input_sparsity = sparsity;
+    spec.sweep.eval.conditions.input_sparsity = sparsity;
     spec.sweep.dse.population = 16;
     spec.sweep.dse.generations = 8;
     spec.sweep.dse.seed = 2;

@@ -269,7 +269,7 @@ TEST_F(ServeServerTest, RejectsDaemonUnsafeCommandsAndFlags) {
       {"serve"},
       {"explore", "--wstore", "64", "--precision", "int8", "--tech", "t"},
       {"sweep", "--wstores", "16", "--cache-file", "m"},
-      {"sweep", "--wstores", "16", "--spawn-local", "2"},
+      {"sweep", "--wstores", "16", "--shard", "0/2"},
   };
   for (const auto& argv : rejected) {
     std::ostringstream out, err;
@@ -281,6 +281,26 @@ TEST_F(ServeServerTest, RejectsDaemonUnsafeCommandsAndFlags) {
   // Nothing executed; the daemon stayed healthy.
   EXPECT_EQ(server->broker().executions(), 0u);
   EXPECT_TRUE(daemon_ping(socket()));
+}
+
+TEST_F(ServeServerTest, MalformedCompileSpecIsADiagnosticNotACrash) {
+  // A spec value of the wrong type or out of range used to abort inside
+  // the request — taking the daemon down and leaving its socket behind.
+  // It must be a parse diagnostic (exit 2), byte-identical to a local run,
+  // and the daemon must keep serving.
+  auto server = start_server();
+  const std::string spec = dir_.file("bad_spec.json");
+  test::write_file(spec, R"({"layout": 1})");
+  const std::vector<std::string> argv = {"compile", "--spec", spec, "--out",
+                                         dir_.file("out")};
+  const CliRun local = in_process(argv);
+  EXPECT_EQ(local.code, 2);
+  EXPECT_EQ(local.err, "layout must be a boolean\n");
+  const CliRun daemon = via_daemon(socket(), argv);
+  EXPECT_EQ(daemon.code, local.code);
+  EXPECT_EQ(daemon.err, local.err);
+  EXPECT_TRUE(daemon_ping(socket()));
+  EXPECT_TRUE(std::filesystem::exists(socket()));
 }
 
 TEST_F(ServeServerTest, MalformedRequestsGetCleanErrorsAndConnectionSurvives) {
@@ -488,7 +508,6 @@ TEST_F(ServeServerTest, ClientHelpersClassifyEligibilityAndPaths) {
   EXPECT_FALSE(daemon_eligible({"explore", "--tech", "t.techlib"}));
   EXPECT_FALSE(daemon_eligible({"explore", "--cache-file", "m"}));
   EXPECT_FALSE(daemon_eligible({"validate", "--rtl-cache-file", "m"}));
-  EXPECT_FALSE(daemon_eligible({"sweep", "--spawn-local", "4"}));
   EXPECT_FALSE(daemon_eligible({"sweep", "--shard", "0/2"}));
   EXPECT_FALSE(daemon_eligible({"sweep", "--resume-summary"}));
 

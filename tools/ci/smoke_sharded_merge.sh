@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Sharded-sweep smoke (the CI step; run locally against any build dir):
-# per-shard worker invocations plus the checkpoint merge, the one-command
-# local fleet (--spawn-local), and the multi-host launch template must all
+# per-shard worker invocations plus the checkpoint merge, the supervised
+# local fleet (orchestrate), and the multi-host launch template must all
 # reproduce the unsharded serial CSV byte-for-byte.
 #
 # usage: tools/ci/smoke_sharded_merge.sh [build-dir]   (default: build)
@@ -46,10 +46,10 @@ cmp serial.csv unified.csv
   --out compacted.memo.jsonl > /dev/null
 cmp shard.memo.jsonl compacted.memo.jsonl
 
-# One-command local fleet: fork 2 workers + merge.
-"$SEGA" sweep "${GRID[@]}" --spawn-local 2 \
-  --checkpoint spawn.ckpt.jsonl > spawned.csv
-cmp serial.csv spawned.csv
+# One-command local fleet: fork 2 supervised workers + merge.
+"$SEGA" orchestrate "${GRID[@]}" --workers 2 \
+  --checkpoint orch.ckpt.jsonl > orchestrated.csv
+cmp serial.csv orchestrated.csv
 
 # And the scripted multi-host template agrees too.
 "$ROOT/tools/sweep_launch.sh" "$SEGA" 2 launch.ckpt.jsonl \

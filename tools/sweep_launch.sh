@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Launch an N-worker sharded sweep on this host and merge the results — the
-# scripted equivalent of `sega_dcim sweep --spawn-local N`, kept as the
-# template for going *multi-host*: run each `sweep --shard i/N` line on any
+# Launch an N-worker sharded sweep on this host and merge the results — an
+# unsupervised `sega_dcim orchestrate --workers N`, kept as the template for
+# going *multi-host*: run each `sweep --shard i/N` line on any
 # machine that sees the same filesystem (or copy the shard files back), then
 # run `sweep-merge` once anywhere.
 #
@@ -12,8 +12,8 @@
 # describe the identical grid or the shard fingerprints will not match).
 # Pass grid/DSE flags only — in particular, direct output with --out on a
 # separate `sweep-merge` invocation rather than here if you want per-step
-# control; `--shard`, `--spawn-local` and `--shards` are supplied by this
-# script and must not be repeated.
+# control; `--shard` and `--shards` are supplied by this script and must not
+# be repeated.
 set -euo pipefail
 
 if [ "$#" -lt 3 ]; then
