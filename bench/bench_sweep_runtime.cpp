@@ -6,8 +6,8 @@
 // checkpointed variant measures the streaming-JSONL overhead per cell.
 //
 // Also measures the sharded path (per-shard slices plus the checkpoint
-// merge), the work-stealing scheduler on a skewed load, and the NSGA-II
-// non-dominated sort: the ENS-BS implementation behind
+// merge), cost-memo save and load, the work-stealing scheduler on a skewed
+// load, and the NSGA-II non-dominated sort: the ENS-BS implementation behind
 // fast_non_dominated_sort against the textbook O(n^2 * objectives)
 // dominance-count baseline it replaced, at population sizes around and
 // above the crossover point (>= 512).
@@ -17,6 +17,7 @@
 #include <filesystem>
 
 #include "compiler/sweep.h"
+#include "cost/cost_cache.h"
 #include "dse/pareto.h"
 #include "util/rng.h"
 #include "util/strings.h"
@@ -142,6 +143,68 @@ void BM_SweepResume(benchmark::State& state) {
       static_cast<double>(spec.wstores.size() * spec.precisions.size());
 }
 
+/// The memo of one seeded 8-precision sweep at Wstore 4096 — the points
+/// NSGA-II actually visits, ~2,300 entries — written once per process.
+const std::string& sweep_memo_path() {
+  static const std::string path = [] {
+    SweepSpec s;
+    s.wstores = {4096};
+    s.precisions = {precision_int2(),     precision_int4(),
+                    precision_int8(),     precision_int16(),
+                    precision_fp8_e4m3(), precision_fp16(),
+                    precision_bf16(),     precision_fp32()};
+    s.dse.seed = 1;
+    s.cache_file = (std::filesystem::temp_directory_path() /
+                    "sega_bench_memo.jsonl")
+                       .string();
+    std::filesystem::remove(s.cache_file);
+    run_sweep(Compiler(Technology::tsmc28()), s);
+    return s.cache_file;
+  }();
+  return path;
+}
+
+/// Memo save: serialize every entry (checksum, then the line) and write
+/// the file atomically — the persistence cost a sweep pays at completion.
+void BM_CostCacheSave(benchmark::State& state) {
+  const Technology tech = Technology::tsmc28();
+  CostCache cache(tech);
+  std::string error;
+  if (!cache.load(sweep_memo_path(), &error)) {
+    state.SkipWithError(error.c_str());
+    return;
+  }
+  const std::string out = sweep_memo_path() + ".save";
+  for (auto _ : state) {
+    if (!cache.save(out, &error)) {
+      state.SkipWithError(error.c_str());
+      return;
+    }
+  }
+  state.counters["entries"] = static_cast<double>(cache.size());
+  state.counters["bytes"] =
+      static_cast<double>(std::filesystem::file_size(out));
+  std::filesystem::remove(out);
+}
+
+/// Memo load: parse and checksum-verify every line into a fresh cache —
+/// the cost a warm rerun pays before it can skip the model.
+void BM_CostCacheLoad(benchmark::State& state) {
+  const Technology tech = Technology::tsmc28();
+  const std::string& path = sweep_memo_path();
+  std::size_t entries = 0;
+  for (auto _ : state) {
+    CostCache cache(tech);
+    std::string error;
+    if (!cache.load(path, &error)) {
+      state.SkipWithError(error.c_str());
+      return;
+    }
+    entries = cache.size();
+  }
+  state.counters["entries"] = static_cast<double>(entries);
+}
+
 /// The raw scheduler: work-stealing deques versus the shared-counter
 /// parallel_for on a deliberately skewed load (one item 50x the rest), the
 /// shape of a sweep grid whose FP32/128K corner dominates.
@@ -197,6 +260,8 @@ BENCHMARK(BM_SweepGridCheckpointed)->Arg(1)->Arg(8)
 BENCHMARK(BM_SweepShardedAndMerged)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SweepResume)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_CostCacheSave)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_CostCacheLoad)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ParallelForStealingSkewed)->Arg(1)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_NonDominatedSortEns)->Arg(256)->Arg(512)->Arg(1024)->Arg(2048);

@@ -6,7 +6,6 @@
 #include <fstream>
 #include <map>
 #include <sstream>
-#include <stdexcept>
 
 #include "compiler/compiler.h"
 #include "compiler/orchestrate.h"
@@ -121,6 +120,19 @@ bool check_known(const std::map<std::string, std::string>& flags,
     }
   }
   return true;
+}
+
+/// Parse the numeric flag @p name into *out (parse_number_strict: a whole,
+/// decimal, finite number); an absent flag keeps *out.  False after the
+/// diagnostic.
+template <typename T>
+bool numeric_flag(const std::map<std::string, std::string>& flags,
+                  const char* name, T* out, std::ostream& err) {
+  const auto it = flags.find(name);
+  if (it == flags.end() || parse_number_strict(it->second, out)) return true;
+  err << "bad numeric option value for --" << name << ": '" << it->second
+      << "'\n";
+  return false;
 }
 
 /// Read and parse a --spec JSON file; nullopt after a diagnostic on @p err.
@@ -256,17 +268,10 @@ int cmd_compile(const std::map<std::string, std::string>& flags,
 /// contract abort inside a pool worker.
 bool parse_dse_flags(const std::map<std::string, std::string>& flags,
                      Nsga2Options* dse, std::ostream& err) {
-  try {
-    if (flags.count("seed"))
-      dse->seed = static_cast<std::uint64_t>(std::stoull(flags.at("seed")));
-    if (flags.count("population"))
-      dse->population = std::stoi(flags.at("population"));
-    if (flags.count("generations"))
-      dse->generations = std::stoi(flags.at("generations"));
-    if (flags.count("threads"))
-      dse->threads = std::stoi(flags.at("threads"));
-  } catch (...) {
-    err << "bad numeric option value\n";
+  if (!numeric_flag(flags, "seed", &dse->seed, err) ||
+      !numeric_flag(flags, "population", &dse->population, err) ||
+      !numeric_flag(flags, "generations", &dse->generations, err) ||
+      !numeric_flag(flags, "threads", &dse->threads, err)) {
     return false;
   }
   if (dse->population < 4 || dse->generations < 1 || dse->threads < 0) {
@@ -283,12 +288,7 @@ int cmd_explore(const std::map<std::string, std::string>& flags,
     return 2;
   }
   CompilerSpec spec;
-  try {
-    spec.wstore = std::stoll(flags.at("wstore"));
-  } catch (...) {
-    err << "bad --wstore value\n";
-    return 2;
-  }
+  if (!numeric_flag(flags, "wstore", &spec.wstore, err)) return 2;
   const auto precision = precision_from_name(flags.at("precision"));
   if (!precision) {
     err << "unknown precision '" << flags.at("precision") << "'\n";
@@ -338,17 +338,21 @@ bool build_sweep_spec(const std::map<std::string, std::string>& flags,
     }
     *spec = *parsed;
   }
-  try {
-    if (flags.count("wstores")) {
-      spec->wstores.clear();
-      for (const auto& field : split(flags.at("wstores"), ',')) {
-        spec->wstores.push_back(std::stoll(trim(field)));
-        if (spec->wstores.back() < 1) throw std::invalid_argument("wstore");
+  if (flags.count("wstores")) {
+    spec->wstores.clear();
+    for (const auto& field : split(flags.at("wstores"), ',')) {
+      std::int64_t wstore = 0;
+      if (!parse_number_strict(trim(field), &wstore)) {
+        err << "bad numeric option value for --wstores: '"
+            << flags.at("wstores") << "'\n";
+        return false;
       }
+      if (wstore < 1) {
+        err << "option value out of range\n";
+        return false;
+      }
+      spec->wstores.push_back(wstore);
     }
-  } catch (...) {
-    err << "bad numeric option value\n";
-    return false;
   }
   if (!parse_dse_flags(flags, &spec->dse, err) ||
       !apply_eval_flags(flags, &spec->eval, err)) {
@@ -372,10 +376,8 @@ bool build_sweep_spec(const std::map<std::string, std::string>& flags,
   if (flags.count("checkpoint")) spec->checkpoint = flags.at("checkpoint");
   if (flags.count("cache-file")) spec->cache_file = flags.at("cache-file");
   if (flags.count("heartbeat-every")) {
-    try {
-      spec->heartbeat_every = std::stoi(flags.at("heartbeat-every"));
-    } catch (...) {
-      err << "bad numeric option value\n";
+    if (!numeric_flag(flags, "heartbeat-every", &spec->heartbeat_every,
+                      err)) {
       return false;
     }
     if (spec->heartbeat_every < 0) {
@@ -395,22 +397,6 @@ bool build_sweep_spec(const std::map<std::string, std::string>& flags,
   return true;
 }
 
-/// Strict decimal-int parse: the whole string must be the number (unlike
-/// std::stoi, which silently accepts trailing garbage like "1x").
-bool parse_int_strict(const std::string& s, int* out) {
-  if (s.empty()) return false;
-  std::size_t consumed = 0;
-  int value = 0;
-  try {
-    value = std::stoi(s, &consumed);
-  } catch (...) {
-    return false;
-  }
-  if (consumed != s.size()) return false;
-  *out = value;
-  return true;
-}
-
 /// Parse `--shard i/N` into spec->shard.  Absent flag leaves the spec's
 /// shard (possibly set via the spec file) untouched.
 bool parse_shard_flag(const std::map<std::string, std::string>& flags,
@@ -421,8 +407,8 @@ bool parse_shard_flag(const std::map<std::string, std::string>& flags,
   int index = 0;
   int count = 0;
   const bool ok = parts.size() == 2 &&
-                  parse_int_strict(trim(parts[0]), &index) &&
-                  parse_int_strict(trim(parts[1]), &count);
+                  parse_number_strict(trim(parts[0]), &index) &&
+                  parse_number_strict(trim(parts[1]), &count);
   if (!ok || count < 1 || index < 0 || index >= count) {
     err << "--shard must be i/N with 0 <= i < N\n";
     return false;
@@ -518,10 +504,7 @@ int cmd_sweep_merge(const std::map<std::string, std::string>& flags,
     return 2;
   }
   int shards = 0;
-  if (!parse_int_strict(flags.at("shards"), &shards)) {
-    err << "bad numeric option value\n";
-    return 2;
-  }
+  if (!numeric_flag(flags, "shards", &shards, err)) return 2;
   if (shards < 1) {
     err << "option value out of range\n";
     return 2;
@@ -543,15 +526,8 @@ int cmd_sweep_merge(const std::map<std::string, std::string>& flags,
 /// Parse a positive-seconds flag into *out; absent flag keeps the default.
 bool parse_seconds_flag(const std::map<std::string, std::string>& flags,
                         const char* name, double* out, std::ostream& err) {
-  const auto it = flags.find(name);
-  if (it == flags.end()) return true;
-  try {
-    *out = std::stod(it->second);
-  } catch (...) {
-    err << "bad numeric option value\n";
-    return false;
-  }
-  if (*out <= 0) {
+  if (!numeric_flag(flags, name, out, err)) return false;
+  if (!(*out > 0)) {
     err << "option value out of range\n";
     return false;
   }
@@ -571,23 +547,13 @@ int cmd_orchestrate(const std::map<std::string, std::string>& flags,
     err << "orchestrate requires --workers <N>\n";
     return 2;
   }
-  if (!parse_int_strict(flags.at("workers"), &ospec.workers)) {
-    err << "bad numeric option value\n";
+  if (!numeric_flag(flags, "workers", &ospec.workers, err) ||
+      !numeric_flag(flags, "max-retries", &ospec.max_retries, err)) {
     return 2;
   }
-  if (ospec.workers < 1) {
+  if (ospec.workers < 1 || ospec.max_retries < 0) {
     err << "option value out of range\n";
     return 2;
-  }
-  if (flags.count("max-retries")) {
-    if (!parse_int_strict(flags.at("max-retries"), &ospec.max_retries)) {
-      err << "bad numeric option value\n";
-      return 2;
-    }
-    if (ospec.max_retries < 0) {
-      err << "option value out of range\n";
-      return 2;
-    }
   }
   if (!parse_seconds_flag(flags, "stall-timeout", &ospec.stall_timeout_s,
                           err) ||
@@ -639,15 +605,10 @@ int cmd_memo_compact(const std::map<std::string, std::string>& flags,
   }
   const std::string base = flags.at("cache-file");
   int shards = 0;
-  if (flags.count("shards")) {
-    if (!parse_int_strict(flags.at("shards"), &shards)) {
-      err << "bad numeric option value\n";
-      return 2;
-    }
-    if (shards < 1) {
-      err << "option value out of range\n";
-      return 2;
-    }
+  if (!numeric_flag(flags, "shards", &shards, err)) return 2;
+  if (flags.count("shards") && shards < 1) {
+    err << "option value out of range\n";
+    return 2;
   }
   std::vector<std::string> sources = {base};
   for (int i = 0; i < shards; ++i) {
@@ -707,17 +668,10 @@ int cmd_validate(const std::map<std::string, std::string>& flags,
            "under an existing one) are mutually exclusive\n";
     return 2;
   }
-  if (flags.count("tolerance")) {
-    try {
-      spec.tolerance = std::stod(flags.at("tolerance"));
-    } catch (...) {
-      err << "bad numeric option value\n";
-      return 2;
-    }
-    if (spec.tolerance <= 0) {
-      err << "option value out of range\n";
-      return 2;
-    }
+  if (!numeric_flag(flags, "tolerance", &spec.tolerance, err)) return 2;
+  if (!(spec.tolerance > 0)) {
+    err << "option value out of range\n";
+    return 2;
   }
   if (flags.count("rtl-cache-file")) {
     spec.rtl_cache_file = flags.at("rtl-cache-file");

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -425,38 +424,6 @@ bool walk_checkpoint(
   return true;
 }
 
-// ------------------------------------------------- strict number parsing
-
-bool parse_ll(const std::string& s, long long* out) {
-  if (s.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const long long v = std::strtoll(s.c_str(), &end, 10);
-  if (errno != 0 || end != s.c_str() + s.size()) return false;
-  *out = v;
-  return true;
-}
-
-bool parse_ull(const std::string& s, unsigned long long* out) {
-  if (s.empty() || s[0] == '-') return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (errno != 0 || end != s.c_str() + s.size()) return false;
-  *out = v;
-  return true;
-}
-
-bool parse_double(const std::string& s, double* out) {
-  if (s.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  if (errno != 0 || end != s.c_str() + s.size()) return false;
-  *out = v;
-  return true;
-}
-
 // ------------------------------------------------------- fault injection
 //
 // SEGA_SWEEP_FAULT=<kill|stall>-after:<k>[:prob=<p>][:seed=<s>][:attempts=<n>]
@@ -478,10 +445,10 @@ bool parse_double(const std::string& s, double* out) {
 struct FaultSpec {
   enum class Kind { kNone, kKill, kStall };
   Kind kind = Kind::kNone;
-  long long after = 0;      ///< fire after this many completed cells
-  double prob = 1.0;        ///< arming probability per (shard, attempt)
-  std::uint64_t seed = 0;   ///< arming hash seed
-  long long attempts = 1;   ///< arm only attempt ordinals in [0, attempts)
+  std::int64_t after = 0;     ///< fire after this many completed cells
+  double prob = 1.0;          ///< arming probability per (shard, attempt)
+  std::uint64_t seed = 0;     ///< arming hash seed
+  std::int64_t attempts = 1;  ///< arm only attempt ordinals in [0, attempts)
 };
 
 bool parse_fault_spec(const std::string& text, FaultSpec* out,
@@ -505,7 +472,7 @@ bool parse_fault_spec(const std::string& text, FaultSpec* out,
                        "stall-after)",
                        parts[0].c_str()));
   }
-  if (!parse_ll(parts[1], &out->after) || out->after < 1) {
+  if (!parse_number_strict(parts[1], &out->after) || out->after < 1) {
     return fail(strfmt("'%s' is not a positive cell count", parts[1].c_str()));
   }
   for (std::size_t i = 2; i < parts.size(); ++i) {
@@ -517,18 +484,17 @@ bool parse_fault_spec(const std::string& text, FaultSpec* out,
     const std::string key = parts[i].substr(0, eq);
     const std::string val = parts[i].substr(eq + 1);
     if (key == "prob") {
-      if (!parse_double(val, &out->prob) || out->prob < 0 || out->prob > 1) {
+      if (!parse_number_strict(val, &out->prob) ||
+          !(out->prob >= 0 && out->prob <= 1)) {
         return fail(strfmt("prob '%s' is not in [0, 1]", val.c_str()));
       }
     } else if (key == "seed") {
-      unsigned long long seed = 0;
-      if (!parse_ull(val, &seed)) {
+      if (!parse_number_strict(val, &out->seed)) {
         return fail(strfmt("seed '%s' is not a non-negative integer",
                            val.c_str()));
       }
-      out->seed = seed;
     } else if (key == "attempts") {
-      if (!parse_ll(val, &out->attempts) || out->attempts < 1) {
+      if (!parse_number_strict(val, &out->attempts) || out->attempts < 1) {
         return fail(strfmt("attempts '%s' is not a positive integer",
                            val.c_str()));
       }
@@ -542,7 +508,7 @@ bool parse_fault_spec(const std::string& text, FaultSpec* out,
 /// Deterministic hash of (seed, shard, attempt) into [0, 1) — splitmix64
 /// finalizer, the same construction the DSE seeding uses.  Fault arming
 /// must be a pure function of these three so a chaos run is reproducible.
-double fault_hash01(std::uint64_t seed, int shard_index, long long attempt) {
+double fault_hash01(std::uint64_t seed, int shard_index, std::int64_t attempt) {
   std::uint64_t x = seed;
   x ^= 0x9E3779B97F4A7C15ull * (static_cast<std::uint64_t>(shard_index) + 1);
   x ^= 0xC2B2AE3D27D4EB4Full * (static_cast<std::uint64_t>(attempt) + 1);
@@ -602,9 +568,9 @@ SweepResult run_sweep(const Compiler& compiler, const SweepSpec& spec,
     if (!parse_fault_spec(env, &fault, &fault_error)) {
       return checkpoint_fail(fault_error, error);
     }
-    long long attempt = 0;
+    std::int64_t attempt = 0;
     if (const char* a = std::getenv("SEGA_SWEEP_ATTEMPT"); a && *a) {
-      parse_ll(a, &attempt);
+      parse_number_strict(a, &attempt);
     }
     fault_armed =
         attempt < fault.attempts &&
@@ -798,13 +764,15 @@ SweepResult run_sweep(const Compiler& compiler, const SweepSpec& spec,
       std::fprintf(stderr,
                    "[sega] fault injection: kill-after:%lld firing (shard "
                    "%d/%d)\n",
-                   fault.after, spec.shard.index, spec.shard.count);
+                   static_cast<long long>(fault.after), spec.shard.index,
+                   spec.shard.count);
       std::_Exit(86);
     }
     std::fprintf(stderr,
                  "[sega] fault injection: stall-after:%lld firing (shard "
                  "%d/%d)\n",
-                 fault.after, spec.shard.index, spec.shard.count);
+                 static_cast<long long>(fault.after), spec.shard.index,
+                 spec.shard.count);
     for (;;) std::this_thread::sleep_for(std::chrono::seconds(3600));
   };
 

@@ -35,7 +35,7 @@ std::optional<ValidateSpec> ValidateSpec::from_json(const Json& json,
   bool saw_precisions = false;
   for (const auto& [key, value] : json.items()) {
     if (key == "tolerance") {
-      if (!value.is_number() || value.as_number() <= 0) {
+      if (!value.is_number() || !(value.as_number() > 0)) {
         return fail("tolerance must be a positive number");
       }
       spec.tolerance = value.as_number();

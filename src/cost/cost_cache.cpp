@@ -211,7 +211,7 @@ constexpr const char* kMemoMarker = "sega_cost_memo";
 
 /// Serialize one table entry: the key fields positionally, the gate census,
 /// the scalar metrics positionally, and the breakdown maps.  Doubles dump as
-/// %.17g (util/json.cpp), which round-trips bit-exactly.
+/// the shortest %.{P}g that reads back bit-exactly (util/json.cpp).
 Json entry_line(
     const std::tuple<int, int, int, int, int, std::int64_t, std::int64_t,
                      std::int64_t, std::int64_t, bool, bool>& key,

@@ -21,7 +21,8 @@
 //
 // Persistence: save() writes a versioned JSONL memo (header = model name +
 // model version + technology + conditions fingerprint, one line per entry,
-// doubles in %.17g so metrics round-trip bit-exactly) via
+// doubles in their shortest round-trip form so metrics come back
+// bit-exactly; docs/FORMATS.md) via
 // write-temp-then-rename, so a crashed writer can never leave a
 // half-written file under the real name.  Every entry line carries a
 // self-checksum ("c", util/json.h) computed over the rest of the line, so

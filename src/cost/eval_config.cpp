@@ -64,13 +64,13 @@ SpecKey EvalConfig::parse_key(const std::string& key, const Json& value,
     if (!check_spec_number(key, value, error)) return SpecKey::kInvalid;
     const double v = value.as_number();
     if (key == "supply_v") {
-      if (v <= 0) return invalid("supply_v must be > 0");
+      if (!(v > 0)) return invalid("supply_v must be > 0");
       conditions.supply_v = v;
     } else if (key == "sparsity") {
-      if (v < 0 || v >= 1) return invalid("sparsity must be in [0, 1)");
+      if (!(v >= 0 && v < 1)) return invalid("sparsity must be in [0, 1)");
       conditions.input_sparsity = v;
     } else {
-      if (v <= 0 || v > 1) return invalid("activity must be in (0, 1]");
+      if (!(v > 0 && v <= 1)) return invalid("activity must be in (0, 1]");
       conditions.activity = v;
     }
   } else if (key == "calibration_file") {
@@ -103,18 +103,18 @@ bool EvalConfig::apply_flags(const std::map<std::string, std::string>& flags,
     if (error) *error = msg;
     return false;
   };
-  try {
-    if (flags.count("sparsity")) {
-      conditions.input_sparsity = std::stod(flags.at("sparsity"));
+  const std::pair<const char*, double*> numeric_flags[] = {
+      {"sparsity", &conditions.input_sparsity},
+      {"supply", &conditions.supply_v}};
+  for (const auto& [name, value] : numeric_flags) {
+    const auto it = flags.find(name);
+    if (it != flags.end() && !parse_number_strict(it->second, value)) {
+      return fail(strfmt("bad numeric option value for --%s: '%s'", name,
+                         it->second.c_str()));
     }
-    if (flags.count("supply")) {
-      conditions.supply_v = std::stod(flags.at("supply"));
-    }
-  } catch (...) {
-    return fail("bad numeric option value");
   }
-  if (conditions.input_sparsity < 0 || conditions.input_sparsity >= 1 ||
-      conditions.supply_v <= 0) {
+  if (!(conditions.input_sparsity >= 0 && conditions.input_sparsity < 1) ||
+      !(conditions.supply_v > 0)) {
     return fail("option value out of range");
   }
   if (const auto it = flags.find("cost-model"); it != flags.end()) {

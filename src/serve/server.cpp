@@ -503,12 +503,11 @@ int run_serve_cli(const std::map<std::string, std::string>& flags,
                   opts.calibration_file.c_str(),
                   artifact->digest().c_str());
   }
-  if (flags.count("response-cache")) {
-    long long entries = 0;
-    try {
-      entries = std::stoll(flags.at("response-cache"));
-    } catch (...) {
-      err << "bad numeric option value\n";
+  if (const auto it = flags.find("response-cache"); it != flags.end()) {
+    std::int64_t entries = 0;
+    if (!parse_number_strict(it->second, &entries)) {
+      err << "bad numeric option value for --response-cache: '" << it->second
+          << "'\n";
       return 2;
     }
     if (entries < 0) {

@@ -1,8 +1,10 @@
 #include "util/json.h"
 
+#include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
+#include <system_error>
 
 #include "util/assert.h"
 #include "util/strings.h"
@@ -118,17 +120,49 @@ void escape_into(std::string& out, const std::string& s) {
   out += '"';
 }
 
-std::string number_to_string(double d) {
+/// Append the JSON text of @p d (docs/FORMATS.md, "Numbers"): an integral
+/// |d| < 1e15 as a plain integer (negative zero as "-0"); any other finite
+/// d as the shortest %.{P}g, P <= 17, that parses back to the same binary64.
+/// No P below the digit count D of the shortest round-trip form can round
+/// trip, so the search starts at D; it continues past D because the
+/// correctly rounded D-digit string need not be the round-trip one (the
+/// rounding interval of a power of two is asymmetric).
+void append_number(std::string& out, double d) {
+  if (!std::isfinite(d)) {
+    out += strfmt("%.17g", d);
+    return;
+  }
+  char buf[32];
+  char* const first = buf;
+  char* const last = buf + sizeof buf;
   if (d == std::floor(d) && std::fabs(d) < 1e15) {
-    return strfmt("%.0f", d);
+    if (d == 0 && std::signbit(d)) {
+      out += "-0";
+      return;
+    }
+    char* const text =
+        std::to_chars(first, last, static_cast<std::int64_t>(d)).ptr;
+    out.append(first, text);
+    return;
   }
-  std::string s = strfmt("%.17g", d);
-  // Prefer the shortest representation that round-trips.
-  for (int prec = 1; prec <= 16; ++prec) {
-    std::string cand = strfmt("%.*g", prec, d);
-    if (std::stod(cand) == d) return cand;
+  char* const shortest =
+      std::to_chars(first, last, d, std::chars_format::scientific).ptr;
+  const auto digits = static_cast<int>(
+      std::count_if(first, std::find(first, shortest, 'e'),
+                    [](char c) { return c >= '0' && c <= '9'; }));
+  for (int precision = digits; precision < 17; ++precision) {
+    char* const text =
+        std::to_chars(first, last, d, std::chars_format::general, precision)
+            .ptr;
+    double back = 0;
+    if (std::from_chars(first, text, back).ec == std::errc() && back == d) {
+      out.append(first, text);
+      return;
+    }
   }
-  return s;
+  char* const text =
+      std::to_chars(first, last, d, std::chars_format::general, 17).ptr;
+  out.append(first, text);
 }
 
 }  // namespace
@@ -143,7 +177,7 @@ void Json::dump_impl(std::string& out, int indent, int depth) const {
   switch (type_) {
     case Type::Null: out += "null"; break;
     case Type::Bool: out += bool_ ? "true" : "false"; break;
-    case Type::Number: out += number_to_string(num_); break;
+    case Type::Number: append_number(out, num_); break;
     case Type::String: escape_into(out, str_); break;
     case Type::Array: {
       if (arr_.empty()) {
@@ -419,15 +453,19 @@ class Parser {
       fail("expected number");
       return std::nullopt;
     }
-    // stod throws on numerals outside double range (e.g. a corrupted file
-    // whose digits were duplicated); malformed input must surface as a
-    // parse error, never as an exception out of parse().
-    try {
-      return Json(std::stod(text_.substr(start, pos_ - start)));
-    } catch (...) {
+    // from_chars reads the scanned span in place, the way strtod would past
+    // the sign it does not take ('+'), and ignores a dangling exponent
+    // marker ("1e" is 1).  A span it rejects (".e1"), overflow, and a
+    // nonzero literal that underflows to zero (a corrupted file whose digits
+    // were duplicated) are parse errors, never exceptions out of parse().
+    const char* first = text_.data() + start;
+    if (*first == '+') ++first;
+    double value = 0;
+    if (std::from_chars(first, text_.data() + pos_, value).ec != std::errc()) {
       fail("number out of range");
       return std::nullopt;
     }
+    return Json(value);
   }
 
   const std::string& text_;
@@ -448,9 +486,9 @@ std::optional<Json> Json::parse(const std::string& text, std::string* error) {
 std::uint32_t json_line_checksum(const Json& line) {
   SEGA_EXPECTS(line.is_object());
   // Canonical payload: the compact dump of the object minus its top-level
-  // "c" member, serialized member-by-member (same bytes as dumping a copy
-  // without "c" — keys iterate in sorted order and members dump compact —
-  // but with no deep copy of the line).
+  // "c" member, serialized member-by-member into one buffer (same bytes as
+  // dumping a copy without "c" — keys iterate in sorted order and members
+  // dump compact — but with no deep copy of the line).
   std::string text = "{";
   bool first = true;
   for (const auto& [key, value] : line.items()) {
@@ -459,7 +497,7 @@ std::uint32_t json_line_checksum(const Json& line) {
     first = false;
     escape_into(text, key);
     text += ':';
-    text += value.dump();
+    value.dump_impl(text, -1, 0);
   }
   text += '}';
   return fnv1a32(text);

@@ -61,7 +61,9 @@ class Json {
   const std::map<std::string, Json>& items() const;
   const std::vector<Json>& elements() const;
 
-  /// Serialize.  @p indent < 0 means compact single-line output.
+  /// Serialize.  @p indent < 0 means compact single-line output.  Numbers
+  /// are written by the rule in docs/FORMATS.md: an integral |x| < 1e15 as
+  /// a plain integer, any other finite x as its shortest round-trip %.{P}g.
   std::string dump(int indent = -1) const;
 
   /// Parse; returns std::nullopt (and fills *error if given) on malformed
@@ -74,6 +76,8 @@ class Json {
   bool operator==(const Json& other) const;
 
  private:
+  friend std::uint32_t json_line_checksum(const Json& line);
+
   void dump_impl(std::string& out, int indent, int depth) const;
 
   Type type_;

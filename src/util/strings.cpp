@@ -1,9 +1,12 @@
 #include "util/strings.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdarg>
 #include <cstdio>
+#include <system_error>
+#include <type_traits>
 
 #include "util/assert.h"
 
@@ -117,6 +120,24 @@ bool starts_with(const std::string& s, const std::string& prefix) {
   return s.size() >= prefix.size() &&
          s.compare(0, prefix.size(), prefix) == 0;
 }
+
+template <typename T>
+bool parse_number_strict(const std::string& text, T* out) {
+  const char* const last = text.data() + text.size();
+  T value{};
+  const auto [end, ec] = std::from_chars(text.data(), last, value);
+  if (ec != std::errc() || end != last) return false;
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(value)) return false;
+  }
+  *out = value;
+  return true;
+}
+
+template bool parse_number_strict(const std::string&, int*);
+template bool parse_number_strict(const std::string&, std::int64_t*);
+template bool parse_number_strict(const std::string&, std::uint64_t*);
+template bool parse_number_strict(const std::string&, double*);
 
 std::string shard_file_path(const std::string& base, int index, int count) {
   return strfmt("%s.shard-%d-of-%d", base.c_str(), index, count);

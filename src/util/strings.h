@@ -39,6 +39,17 @@ std::vector<std::string> split(const std::string& s, char delim);
 /// True iff @p s starts with @p prefix.
 bool starts_with(const std::string& s, const std::string& prefix);
 
+/// Parse all of @p text as one decimal number into *out: digits with an
+/// optional leading '-' (none for unsigned T) and, for double, an optional
+/// fraction and exponent.  Rejects everything else — an empty string,
+/// whitespace, a leading '+', trailing text ("16x", "2e3" for an integer),
+/// hex, a value out of T's range, and for double `nan`, `inf` and a nonzero
+/// literal that underflows to zero — leaving *out untouched.  The one
+/// parser behind every numeric CLI flag and environment knob.
+/// Instantiated for int, std::int64_t, std::uint64_t and double.
+template <typename T>
+bool parse_number_strict(const std::string& text, T* out);
+
 /// `<base>.shard-<index>-of-<count>`: the per-worker file naming scheme of
 /// the sharded sweep (checkpoint shards and cost-memo shards share it).
 /// Requires count >= 1 and 0 <= index < count.

@@ -5,6 +5,7 @@
 #include <deque>
 
 #include "util/assert.h"
+#include "util/strings.h"
 
 namespace sega {
 
@@ -32,10 +33,10 @@ struct TaskScope {
 bool ThreadPool::inside_pool_task() { return tl_inside_pool_task; }
 
 int ThreadPool::default_threads() {
-  if (const char* env = std::getenv("SEGA_THREADS")) {
-    char* end = nullptr;
-    const long parsed = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && parsed > 0) return clamp_threads(parsed);
+  std::int64_t parsed = 0;
+  if (const char* env = std::getenv("SEGA_THREADS");
+      env != nullptr && parse_number_strict(env, &parsed) && parsed > 0) {
+    return clamp_threads(parsed);
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : clamp_threads(static_cast<long>(hw));

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 
 #include "test_support.h"
@@ -661,6 +662,60 @@ TEST_F(CliTempDir, MemoCompactMergesShardDeltas) {
       cli({"memo-compact", "--cache-file", (dir_ / "absent.memo").string()})
           .code,
       2);  // no sources found
+}
+
+TEST_F(CliTempDir, MalformedNumericFlagsAreDiagnosticsInEveryCommand) {
+  // A numeric flag takes a whole, decimal, finite number.  Each of these
+  // values used to run (a prefix read as the number, hex read as hex, -1
+  // wrapped to 2^64-1) or abort inside the cost model (nan, inf).
+  const std::string ckpt = (dir_ / "numeric.ckpt").string();
+  const std::map<std::string, std::vector<std::string>> base = {
+      {"explore", {"explore", "--wstore", "4096", "--precision", "INT8"}},
+      {"sweep", {"sweep", "--wstores", "4096", "--precisions", "INT8"}},
+      {"validate", {"validate", "--wstores", "4096", "--precisions", "INT8"}},
+      {"orchestrate",
+       {"orchestrate", "--workers", "2", "--checkpoint", ckpt, "--wstores",
+        "4096", "--precisions", "INT8"}}};
+  const std::vector<std::pair<std::string, std::string>> shared = {
+      {"--generations", "2e3"}, {"--population", "16x"},
+      {"--seed", "-1"},         {"--seed", "0x10"},
+      {"--threads", "1.5"},     {"--threads", " 1"},
+      {"--sparsity", "0x0.8"},  {"--sparsity", "nan"},
+      {"--sparsity", ""},       {"--supply", "nan"},
+      {"--supply", "inf"},      {"--supply", "+0.9"},
+      {"--supply", "1e999"}};
+  const std::map<std::string, std::vector<std::pair<std::string, std::string>>>
+      own = {{"explore", {{"--wstore", "4096abc"}, {"--wstore", "4e3"}}},
+             {"sweep",
+              {{"--wstores", "4096abc"},
+               {"--wstores", "4096,8e3"},
+               {"--heartbeat-every", "1x"}}},
+             {"validate",
+              {{"--tolerance", "0.5zz"},
+               {"--tolerance", "nan"},
+               {"--wstores", "0x1000"}}},
+             {"orchestrate",
+              {{"--workers", "2x"},
+               {"--max-retries", "1.0"},
+               {"--stall-timeout", "inf"},
+               {"--poll-interval", "nan"},
+               {"--backoff", "0x1p-2"},
+               {"--backoff-max", "1e999"}}}};
+  for (const auto& [command, argv] : base) {
+    auto cases = shared;
+    cases.insert(cases.end(), own.at(command).begin(), own.at(command).end());
+    for (const auto& [flag, value] : cases) {
+      std::vector<std::string> args = argv;
+      // A later flag wins, so appending overrides the base's good value.
+      args.push_back(flag);
+      args.push_back(value);
+      const CliRun r = cli(args);
+      EXPECT_EQ(r.code, 2) << command << " " << flag << " '" << value << "'";
+      EXPECT_NE(r.err.find("bad numeric option value"), std::string::npos)
+          << command << " " << flag << " '" << value << "': " << r.err;
+    }
+  }
+  EXPECT_FALSE(std::filesystem::exists(ckpt));
 }
 
 TEST_F(CliTempDir, SweepHeartbeatFlagValidation) {

@@ -256,7 +256,7 @@ TEST(CostCacheTest, SaveLoadRoundTripsBitExactly) {
   EXPECT_EQ(reader.hits(), 0u);
   EXPECT_EQ(reader.misses(), 0u);
   // ...and a full revisit performs ZERO model evaluations with bit-exact
-  // metrics (doubles round-trip through the %.17g serialization).
+  // metrics (doubles round-trip through the memo number form).
   for (const auto& dp : ints) {
     expect_same_metrics(reader.evaluate(dp), evaluate_macro(tech, dp));
   }
@@ -266,6 +266,83 @@ TEST(CostCacheTest, SaveLoadRoundTripsBitExactly) {
   EXPECT_EQ(model.evaluations(), 0u);
   EXPECT_EQ(reader.misses(), 0u);
   EXPECT_EQ(reader.hits(), ints.size() + fps.size());
+}
+
+TEST(CostCacheTest, MemoEntryLinesAreByteStable) {
+  // Golden bytes of three entry lines (INT8, FP16, FP32), as the number
+  // codec writes them: integral values as plain integers, every other
+  // double as its shortest round-trip %.{P}g form (docs/FORMATS.md).  A
+  // codec change that moves one byte fails here before it can invalidate
+  // every memo on disk.
+  const Technology tech = Technology::tsmc28();
+  CostCache cache(tech);
+  cache.evaluate(int8_point(32, 128, 16, 8));
+  DesignPoint fp16;
+  fp16.arch = ArchKind::kFpCim;
+  fp16.precision = precision_fp16();
+  fp16.n = 64;
+  fp16.h = 16;
+  fp16.l = 44;
+  fp16.k = 4;
+  cache.evaluate(fp16);
+  DesignPoint fp32 = fp16;
+  fp32.precision = precision_fp32();
+  fp32.n = 128;
+  fp32.l = 48;
+  fp32.k = 8;
+  cache.evaluate(fp32);
+
+  const std::string path = temp_path("golden.memo.jsonl");
+  ASSERT_TRUE(cache.save(path));
+  const std::vector<std::string> lines = split(read_file(path), '\n');
+  ASSERT_EQ(lines.size(), 5u);  // header, three entries, final newline
+  EXPECT_EQ(lines[1],
+            R"({"ab":{"accumulator":20643.2,"adder_tree":201516.79999999996,)"
+            R"("compute":167936,"fusion":2993.2000000000003,)"
+            R"("input_buffer":6758.4,"sram":144179.2},"c":1949231032,)"
+            R"("eb":{"accumulator":28752,"adder_tree":299260.80000000005,)"
+            R"("compute":217088,"fusion":4426.8,"input_buffer":9830.4,)"
+            R"("sram":0},"g":[32768,0,0,68160,4124,33240,1504,65536],)"
+            R"("k":[0,0,8,0,0,32,128,16,8,false,false],)"
+            R"("m":[544026.7999999999,258.3,559358.0000000001,)"
+            R"(64195.16239999999,0.06419516239999998,5.166,)"
+            R"(0.1935733643050716,53139.01000000001,0.010286296941540846,)"
+            R"(0.05313901000000001,0.1982191250483933,19.270212222621378,)"
+            R"(3.087757981096616,1]})");
+  EXPECT_EQ(lines[2],
+            R"({"ab":{"accumulator":41286.4,"adder_tree":24556.800000000003,)"
+            R"("compute":100966.40000000001,"fusion":6516.599999999999,)"
+            R"("input_buffer":1443.1999999999998,"int_to_fp":10360.2,)"
+            R"("pre_alignment":4877.1,"sram":99123.20000000001},)"
+            R"("c":4204196477,"eb":{"accumulator":57504,)"
+            R"("adder_tree":36729.6,"compute":136192,"fusion":3212.4,)"
+            R"("input_buffer":947.1999999999999,"int_to_fp":4745.8,)"
+            R"("pre_alignment":2253.5,"sram":0},)"
+            R"("g":[4096,168,0,63971,1121,5726,1136,45056],)"
+            R"("k":[1,1,0,5,10,64,16,44,4,false,false],)"
+            R"("m":[289129.9,352.99999999999994,241584.5,34117.3282,)"
+            R"(0.034117328200000005,7.059999999999999,0.14164305949008502,)"
+            R"(22950.5275,0.003250782932011332,0.0688515825,)"
+            R"(0.008790454116233155,2.704103688274967,0.2576536493333365,)"
+            R"(3]})");
+  EXPECT_EQ(lines[3],
+            R"({"ab":{"accumulator":256793.60000000003,)"
+            R"("adder_tree":92889.59999999999,"compute":228147.2,)"
+            R"("fusion":26038.200000000004,"input_buffer":3097.5999999999995,)"
+            R"("int_to_fp":39898.200000000004,)"
+            R"("pre_alignment":21064.600000000002,)"
+            R"("sram":216268.80000000002},"c":2376966287,)"
+            R"("eb":{"accumulator":354624,"adder_tree":137971.2,)"
+            R"("compute":305152,"fusion":12816.6,"input_buffer":1996.8,)"
+            R"("int_to_fp":18204.4,"pre_alignment":9630.9,"sram":0},)"
+            R"("g":[16384,330,0,220052,2223,23027,3968,98304],)"
+            R"("k":[1,1,0,8,23,128,16,48,8,false,false],)"
+            R"("m":[884197.7999999998,743.6999999999998,840395.9,)"
+            R"(104335.34039999997,0.10433534039999996,14.873999999999997,)"
+            R"(0.06723141051499262,79837.61050000001,0.005367595166061586,)"
+            R"(0.23951283150000002,0.0038247202426306905,)"
+            R"(0.7125575093318816,0.036657955281187656,3]})");
+  EXPECT_TRUE(lines[4].empty());
 }
 
 TEST(CostCacheTest, LoadMergesWithExistingEntries) {

@@ -303,6 +303,30 @@ TEST_F(ServeServerTest, MalformedCompileSpecIsADiagnosticNotACrash) {
   EXPECT_TRUE(std::filesystem::exists(socket()));
 }
 
+TEST_F(ServeServerTest, NonFiniteNumericFlagIsADiagnosticNotACrash) {
+  // `--sparsity nan` and `--supply inf` used to reach the cost model's
+  // preconditions inside the request, abort the daemon and leave its socket
+  // behind.  They are flag diagnostics (exit 2), byte-identical to a local
+  // run, and the daemon keeps serving.
+  auto server = start_server();
+  const std::pair<const char*, const char*> cases[] = {
+      {"--sparsity", "nan"}, {"--supply", "inf"}, {"--supply", "nan"}};
+  for (const auto& [flag, value] : cases) {
+    std::vector<std::string> argv = kExploreArgv;
+    argv.push_back(flag);
+    argv.push_back(value);
+    const CliRun local = in_process(argv);
+    EXPECT_EQ(local.code, 2);
+    EXPECT_NE(local.err.find("bad numeric option value"), std::string::npos)
+        << local.err;
+    const CliRun daemon = via_daemon(socket(), argv);
+    EXPECT_EQ(daemon.code, local.code);
+    EXPECT_EQ(daemon.err, local.err);
+    EXPECT_TRUE(daemon_ping(socket())) << flag << " " << value;
+  }
+  EXPECT_TRUE(std::filesystem::exists(socket()));
+}
+
 TEST_F(ServeServerTest, MalformedRequestsGetCleanErrorsAndConnectionSurvives) {
   auto server = start_server();
   RawClient client(socket());

@@ -2,11 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cfloat>
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <optional>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "test_support.h"
 #include "util/rng.h"
+#include "util/strings.h"
+#include "util/threadpool.h"
 
 namespace sega {
 namespace {
@@ -126,6 +135,204 @@ TEST(JsonTest, NumberPrecisionRoundTrips) {
     ASSERT_TRUE(j.has_value());
     EXPECT_DOUBLE_EQ(j->as_number(), v);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Number codec.  The reference oracle is the formatter the <charconv> one
+// replaced, kept verbatim: integral |d| < 1e15 through "%.0f", otherwise the
+// first "%.{P}g", P = 1..16, that std::stod reads back to d, else "%.17g".
+// It throws std::out_of_range where a short candidate underflows or
+// overflows inside std::stod (5e-324, DBL_MIN, DBL_MAX); there it has no
+// answer to compare with.
+
+std::string reference_number(double d) {
+  if (d == std::floor(d) && std::fabs(d) < 1e15) return strfmt("%.0f", d);
+  std::string s = strfmt("%.17g", d);
+  for (int prec = 1; prec <= 16; ++prec) {
+    std::string cand = strfmt("%.*g", prec, d);
+    if (std::stod(cand) == d) return cand;
+  }
+  return s;
+}
+
+std::uint64_t bits_of(double d) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &d, sizeof bits);
+  return bits;
+}
+
+double from_bits(std::uint64_t bits) {
+  double d = 0;
+  std::memcpy(&d, &bits, sizeof d);
+  return d;
+}
+
+/// The seeded corpus the formatter is checked on: >= 10^6 finite doubles
+/// from the families where a shortest-form search can go wrong.
+std::vector<double> number_corpus() {
+  std::vector<double> out;
+  Rng rng(0xC0DEC);
+  // Raw bit patterns: every exponent, including subnormals.
+  for (int i = 0; i < 300000; ++i) {
+    const double d = from_bits(rng.next_u64());
+    if (std::isfinite(d)) out.push_back(d);
+  }
+  // Every decade from 1e-300 to 1e300: the power itself and random
+  // mantissas within it.
+  for (int e = -300; e <= 300; ++e) {
+    const double decade = std::stod(strfmt("1e%d", e));
+    out.push_back(decade);
+    for (int i = 0; i < 250; ++i) {
+      out.push_back(decade * (1 + 9 * rng.uniform()));
+    }
+  }
+  // Decimals of 15, 16 and 17 significant digits, where the shortest
+  // round-trip form sits at or just below the %.17g fallback.
+  for (int i = 0; i < 150000; ++i) {
+    const int digits = static_cast<int>(rng.uniform_int(15, 17));
+    std::string text = std::to_string(rng.uniform_int(1, 9)) + ".";
+    for (int j = 1; j < digits; ++j) {
+      text += static_cast<char>('0' + rng.uniform_int(0, 9));
+    }
+    text += strfmt("e%d", static_cast<int>(rng.uniform_int(-30, 30)));
+    out.push_back(std::stod(text));
+  }
+  // Integers and half-integers near +-1e15, the integer path's bound.
+  for (int i = -20000; i <= 20000; ++i) {
+    out.push_back(1e15 + i);
+    out.push_back(-1e15 - i * 0.5);
+  }
+  // Powers of two and their neighbours: their rounding intervals are
+  // asymmetric (the gap below is half the gap above).
+  for (int e = -1074; e <= 1023; ++e) {
+    const double p = std::ldexp(1.0, e);
+    for (const double d : {p, std::nextafter(p, 0.0),
+                           std::nextafter(p, HUGE_VAL)}) {
+      if (std::isfinite(d) && d != 0) {
+        out.push_back(d);
+        out.push_back(-d);
+      }
+    }
+  }
+  // Metric-shaped values: sums, products and quotients of short decimals
+  // (the memo's breakdown maps are built this way).
+  while (out.size() < 1000000) {
+    const double a = static_cast<double>(rng.uniform_int(1, 100000)) / 10;
+    const double b = static_cast<double>(rng.uniform_int(1, 100000)) / 100;
+    out.push_back(a + b);
+    out.push_back(a * b);
+    out.push_back(a / b);
+  }
+  for (const double d : {0.0, -0.0, DBL_MIN, -DBL_MIN, DBL_MAX, -DBL_MAX,
+                         DBL_EPSILON, DBL_TRUE_MIN, -DBL_TRUE_MIN}) {
+    out.push_back(d);
+  }
+  return out;
+}
+
+TEST(JsonNumberTest, FormatMatchesTheReferenceLoopAndParsesBackBitExactly) {
+  const std::vector<double> corpus = number_corpus();
+  ASSERT_GE(corpus.size(), 1000000u);
+  // The reference loop costs 5-30 us a value, so the corpus is checked in
+  // chunks across a pool; each chunk collects its own failures.
+  constexpr std::size_t kChunk = 10000;
+  std::vector<std::vector<std::string>> failures(
+      (corpus.size() + kChunk - 1) / kChunk);
+  ThreadPool pool;
+  pool.parallel_for(failures.size(), [&](std::size_t chunk) {
+    const std::size_t end = std::min(corpus.size(), (chunk + 1) * kChunk);
+    for (std::size_t i = chunk * kChunk; i < end; ++i) {
+      const double d = corpus[i];
+      const std::string got = Json(d).dump();
+      std::optional<std::string> want;
+      try {
+        want = reference_number(d);
+      } catch (const std::out_of_range&) {
+        // No reference answer; the round trip below is still checked.
+      }
+      const auto back = Json::parse(got);
+      if ((want && got != *want) || !back ||
+          bits_of(back->as_number()) != bits_of(d)) {
+        failures[chunk].push_back(
+            strfmt("%a: got %s, want %s", d, got.c_str(),
+                   want ? want->c_str() : "(reference throws)"));
+      }
+    }
+  });
+  std::size_t count = 0;
+  for (const auto& chunk : failures) {
+    for (const auto& line : chunk) {
+      if (++count <= 10) ADD_FAILURE() << line;
+    }
+  }
+  EXPECT_EQ(count, 0u) << "of " << corpus.size();
+}
+
+TEST(JsonNumberTest, TheReferenceLoopThrowsWhereTheNewFormatterDoesNot) {
+  // The failures the rewrite fixes: today's loop cannot dump the smallest
+  // subnormal or DBL_MIN (a short candidate underflows inside std::stod).
+  EXPECT_THROW(reference_number(DBL_TRUE_MIN), std::out_of_range);
+  EXPECT_THROW(reference_number(DBL_MIN), std::out_of_range);
+  EXPECT_EQ(Json(DBL_TRUE_MIN).dump(), "5e-324");
+  EXPECT_EQ(Json(DBL_MIN).dump(), "2.2250738585072014e-308");
+  EXPECT_EQ(Json(DBL_MAX).dump(), "1.7976931348623157e+308");
+}
+
+TEST(JsonNumberTest, PinnedFormsIncludingNegativeZero) {
+  EXPECT_EQ(Json(-0.0).dump(), "-0");
+  EXPECT_EQ(Json(0.0).dump(), "0");
+  EXPECT_EQ(Json(999999999999999.0).dump(), "999999999999999");
+  EXPECT_EQ(Json(-999999999999999.0).dump(), "-999999999999999");
+  EXPECT_EQ(Json(1e15).dump(), "1e+15");
+  EXPECT_EQ(Json(9007199254740992.0).dump(), "9007199254740992");
+  EXPECT_EQ(Json(0.5).dump(), "0.5");
+  EXPECT_EQ(Json(1e-5).dump(), "1e-05");
+  EXPECT_EQ(Json(0.1 + 0.2).dump(), "0.30000000000000004");
+  const auto neg_zero = Json::parse("-0");
+  ASSERT_TRUE(neg_zero.has_value());
+  EXPECT_TRUE(std::signbit(neg_zero->as_number()));
+}
+
+TEST(JsonNumberTest, NonFiniteValuesKeepTheirPrintfForms) {
+  EXPECT_EQ(Json(std::numeric_limits<double>::infinity()).dump(), "inf");
+  EXPECT_EQ(Json(-std::numeric_limits<double>::infinity()).dump(), "-inf");
+  EXPECT_EQ(Json(std::numeric_limits<double>::quiet_NaN()).dump(),
+            strfmt("%.17g", std::numeric_limits<double>::quiet_NaN()));
+}
+
+TEST(JsonNumberTest, ParserEdgeCasesArePinned) {
+  // Accepted spans, with today's values: a leading '+', a bare trailing
+  // '.', a bare leading '.', a dangling exponent marker, and a zero with an
+  // exponent far below the range.
+  const std::pair<const char*, double> accepted[] = {
+      {"+1", 1.0}, {"5.", 5.0}, {".5", 0.5}, {"1e", 1.0}, {"0e-999", 0.0},
+      {"1e+", 1.0}, {"-2.5E3", -2500.0}};
+  for (const auto& [text, value] : accepted) {
+    const auto j = Json::parse(text);
+    ASSERT_TRUE(j.has_value()) << text;
+    EXPECT_EQ(bits_of(j->as_number()), bits_of(value)) << text;
+  }
+  // Rejected, with today's diagnostics.
+  const std::pair<const char*, const char*> rejected[] = {
+      {"-", "expected number"},        {"+", "expected number"},
+      {"1e999", "number out of range"}, {"-1e999", "number out of range"},
+      {"1e-400", "number out of range"}, {".e1", "number out of range"}};
+  for (const auto& [text, message] : rejected) {
+    std::string error;
+    EXPECT_FALSE(Json::parse(text, &error).has_value()) << text;
+    EXPECT_NE(error.find(message), std::string::npos) << text << ": " << error;
+  }
+}
+
+TEST(JsonNumberTest, SubnormalLiteralsParse) {
+  // The one intended parser change: a subnormal literal was a range error
+  // (std::stod reports ERANGE for it) and is now its value.
+  const auto tiny = Json::parse("5e-324");
+  ASSERT_TRUE(tiny.has_value());
+  EXPECT_EQ(tiny->as_number(), DBL_TRUE_MIN);
+  const auto sub = Json::parse("[1e-310]");
+  ASSERT_TRUE(sub.has_value());
+  EXPECT_EQ(sub->at(0).as_number(), 1e-310);
 }
 
 TEST(JsonTest, OutOfRangeNumberIsAParseErrorNotAnException) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 namespace sega {
 namespace {
 
@@ -68,6 +70,50 @@ TEST(StringsTest, StartsWith) {
   EXPECT_TRUE(starts_with("INT8", "INT"));
   EXPECT_TRUE(starts_with("x", ""));
   EXPECT_FALSE(starts_with("IN", "INT"));
+}
+
+TEST(StringsTest, ParseNumberStrictAcceptsWholeDecimalNumbers) {
+  int i = 0;
+  EXPECT_TRUE(parse_number_strict("42", &i));
+  EXPECT_EQ(i, 42);
+  EXPECT_TRUE(parse_number_strict("-7", &i));
+  EXPECT_EQ(i, -7);
+  std::int64_t ll = 0;
+  EXPECT_TRUE(parse_number_strict("9007199254740993", &ll));
+  EXPECT_EQ(ll, 9007199254740993);
+  std::uint64_t u = 0;
+  EXPECT_TRUE(parse_number_strict("18446744073709551615", &u));
+  EXPECT_EQ(u, 18446744073709551615ull);
+  double d = 0;
+  EXPECT_TRUE(parse_number_strict("0.25", &d));
+  EXPECT_EQ(d, 0.25);
+  EXPECT_TRUE(parse_number_strict("-1.5e-3", &d));
+  EXPECT_EQ(d, -1.5e-3);
+  EXPECT_TRUE(parse_number_strict(".5", &d));
+  EXPECT_EQ(d, 0.5);
+}
+
+TEST(StringsTest, ParseNumberStrictRejectsEverythingElse) {
+  // Each rejection leaves the output untouched.
+  for (const char* text : {"", " 1", "1 ", "+1", "1x", "2e3", "1.0", "0x10",
+                           "2147483648", "-", "nan"}) {
+    int i = 17;
+    EXPECT_FALSE(parse_number_strict(text, &i)) << "'" << text << "'";
+    EXPECT_EQ(i, 17) << text;
+  }
+  for (const char* text : {"-1", "18446744073709551616", "1e3"}) {
+    std::uint64_t u = 17;
+    EXPECT_FALSE(parse_number_strict(text, &u)) << text;
+    EXPECT_EQ(u, 17u) << text;
+  }
+  for (const char* text :
+       {"", "nan", "-nan", "inf", "-inf", "infinity", "0x0.8", "0x1p-2",
+        "0.5zz", "1e", "1e999", "-1e999", "1e-400", "+0.5", " 0.5", "0.5\n",
+        "1,5"}) {
+    double d = 17;
+    EXPECT_FALSE(parse_number_strict(text, &d)) << "'" << text << "'";
+    EXPECT_EQ(d, 17) << text;
+  }
 }
 
 }  // namespace

@@ -24,14 +24,16 @@ SWEEP=(sweep --wstores 512,1024 --precisions INT8,FP16
 
 # Toggle-off byte-identity: a plain sweep and the same sweep with the
 # layout key spelled "false" in a spec file produce identical JSON, CSV,
-# checkpoint, and memo — cold and warm.
-"$SEGA" "${SWEEP[@]}" --out plain --checkpoint plain.ckpt \
+# checkpoint, and memo — cold and warm.  Both run serially: checkpoint
+# lines are appended in cell-completion order, which only --threads 1
+# fixes, and the checkpoints are compared byte for byte.
+"$SEGA" "${SWEEP[@]}" --threads 1 --out plain --checkpoint plain.ckpt \
   --cache-file plain.memo > plain.csv
 cat > off.json <<'EOF'
 {"layout": false}
 EOF
-"$SEGA" "${SWEEP[@]}" --spec off.json --out off --checkpoint off.ckpt \
-  --cache-file off.memo > off.csv
+"$SEGA" "${SWEEP[@]}" --threads 1 --spec off.json --out off \
+  --checkpoint off.ckpt --cache-file off.memo > off.csv
 cmp plain.csv off.csv
 cmp plain/sweep.json off/sweep.json
 cmp plain/sweep.csv off/sweep.csv
