@@ -6,11 +6,10 @@
 // checkpointed variant measures the streaming-JSONL overhead per cell.
 //
 // Also measures the sharded path (per-shard slices plus the checkpoint
-// merge), cost-memo save and load, the work-stealing scheduler on a skewed
-// load, and the NSGA-II non-dominated sort: the ENS-BS implementation behind
-// fast_non_dominated_sort against the textbook O(n^2 * objectives)
-// dominance-count baseline it replaced, at population sizes around and
-// above the crossover point (>= 512).
+// merge), cost-memo save and load, and the NSGA-II non-dominated sort: the
+// ENS-BS implementation behind fast_non_dominated_sort against the textbook
+// O(n^2 * objectives) dominance-count baseline it replaced, at population
+// sizes around and above the crossover point (>= 512).
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -21,7 +20,6 @@
 #include "dse/pareto.h"
 #include "util/rng.h"
 #include "util/strings.h"
-#include "util/threadpool.h"
 
 namespace {
 
@@ -205,24 +203,6 @@ void BM_CostCacheLoad(benchmark::State& state) {
   state.counters["entries"] = static_cast<double>(entries);
 }
 
-/// The raw scheduler: work-stealing deques versus the shared-counter
-/// parallel_for on a deliberately skewed load (one item 50x the rest), the
-/// shape of a sweep grid whose FP32/128K corner dominates.
-void BM_ParallelForStealingSkewed(benchmark::State& state) {
-  ThreadPool pool(static_cast<int>(state.range(0)));
-  constexpr std::size_t kItems = 64;
-  std::vector<std::size_t> items(kItems);
-  for (std::size_t i = 0; i < kItems; ++i) items[i] = i;
-  const auto work = [](std::size_t item) {
-    const int reps = item == 0 ? 500000 : 10000;
-    volatile double sink = 0;
-    for (int r = 0; r < reps; ++r) sink = sink + 1.0 / (1 + r);
-  };
-  for (auto _ : state) {
-    pool.parallel_for_stealing(items, work);
-  }
-}
-
 std::vector<Objectives> random_objectives(std::size_t n, std::size_t dims,
                                           std::uint64_t seed) {
   Rng rng(seed);
@@ -262,8 +242,6 @@ BENCHMARK(BM_SweepShardedAndMerged)->Arg(2)->Arg(4)
 BENCHMARK(BM_SweepResume)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_CostCacheSave)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_CostCacheLoad)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_ParallelForStealingSkewed)->Arg(1)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_NonDominatedSortEns)->Arg(256)->Arg(512)->Arg(1024)->Arg(2048);
 BENCHMARK(BM_NonDominatedSortBaseline)
     ->Arg(256)->Arg(512)->Arg(1024)->Arg(2048);

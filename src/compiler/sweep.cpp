@@ -776,15 +776,15 @@ SweepResult run_sweep(const Compiler& compiler, const SweepSpec& spec,
     for (;;) std::this_thread::sleep_for(std::chrono::seconds(3600));
   };
 
-  // Cost-guided work-stealing: the pending cells are seeded into the pool's
-  // per-thread deques in descending predicted-cost order — Wstore x input
-  // width x weight width, the dominant factors of a cell's design-space
-  // size and per-point cost — so the FP32/128K corner starts immediately
-  // and threads that drain their own deque steal the cheap tail instead of
-  // idling behind a long cell.  Scheduling order (and the steal schedule)
-  // is a latency lever only: every result lands in its fixed grid slot and
-  // the fold below always walks grid order, so outputs are byte-identical
-  // under any schedule, thread count, or shard split.
+  // Longest-first: the pending cells are sorted by descending predicted
+  // cost — Wstore x input width x weight width, the dominant factors of a
+  // cell's design-space size and per-point cost — and handed to
+  // parallel_for, whose shared counter gives each free thread the most
+  // expensive cell left.  The FP32/128K corner starts immediately and the
+  // cheap tail fills in behind it.  Scheduling order is a latency lever
+  // only: every result lands in its fixed grid slot and the fold below
+  // always walks grid order, so outputs are byte-identical under any
+  // schedule, thread count, or shard split.
   std::stable_sort(todo.begin(), todo.end(),
                    [&grid](std::size_t a, std::size_t b) {
                      const auto predicted = [&grid](std::size_t gi) {
@@ -800,7 +800,8 @@ SweepResult run_sweep(const Compiler& compiler, const SweepSpec& spec,
     owned = std::make_unique<ThreadPool>(spec.dse.threads);
   }
   ThreadPool& pool = owned ? *owned : ThreadPool::global();
-  pool.parallel_for_stealing(todo, [&](std::size_t gi) {
+  pool.parallel_for(todo.size(), [&](std::size_t ti) {
+    const std::size_t gi = todo[ti];
     CompilerSpec cs;
     cs.wstore = grid[gi].wstore;
     cs.precision = grid[gi].precision;
@@ -1057,33 +1058,15 @@ SweepResult merge_sweep_shards(const Compiler& compiler, const SweepSpec& spec,
     text += cell_line(slots[gi].cell, slots[gi].empty).dump();
     text += '\n';
   }
-  const std::string tmp = strfmt("%s.tmp.%d", spec.checkpoint.c_str(),
-                                 static_cast<int>(::getpid()));
-  {
-    std::ofstream f(tmp, std::ios::binary | std::ios::trunc);
-    if (!f) {
-      return checkpoint_fail(
-          strfmt("cannot write unified checkpoint '%s'", tmp.c_str()), error);
-    }
-    f << text;
-    f.flush();
-    if (!f) {
-      f.close();
-      std::error_code cleanup_ec;
-      std::filesystem::remove(tmp, cleanup_ec);
-      return checkpoint_fail(
-          strfmt("write to unified checkpoint '%s' failed", tmp.c_str()),
-          error);
-    }
-  }
-  std::error_code rename_ec;
-  std::filesystem::rename(tmp, spec.checkpoint, rename_ec);
-  if (rename_ec) {
-    std::filesystem::remove(tmp, rename_ec);
-    return checkpoint_fail(
-        strfmt("cannot rename unified checkpoint '%s' into place",
-               spec.checkpoint.c_str()),
-        error);
+  std::string write_error;
+  if (!write_file_atomic(
+          spec.checkpoint, "unified checkpoint",
+          [&](std::ostream& out) {
+            out << text;
+            return true;
+          },
+          &write_error)) {
+    return checkpoint_fail(write_error, error);
   }
   // --- unified memo save (warn-only, like run_sweep's save) ---
   if (!spec.cache_file.empty()) {

@@ -160,16 +160,16 @@ struct SweepResult {
 /// 0 = auto via SEGA_THREADS / hardware concurrency, 1 = serial).  Cells
 /// whose design space is empty are skipped.
 ///
-/// Scheduling vs. fold order: pending cells are *scheduled* through the
-/// pool's work-stealing deques, seeded in descending predicted-cost order
-/// (Wstore x input width x weight width) so the expensive FP32/128K cells
-/// start first and idle threads steal the cheap tail.  The *fold* order is
-/// always fixed grid order (Wstore-major, precisions in spec order) — every
-/// cell's result lands in its own grid slot and the output is assembled
-/// from the slots afterwards — so JSON/CSV output is byte-identical at any
-/// thread count, under any steal schedule, and (after merge) for any shard
-/// count.  Scheduling order is a latency lever only; it must never be able
-/// to change a byte of output.
+/// Scheduling vs. fold order: pending cells are *scheduled* longest-first —
+/// sorted by descending predicted cost (Wstore x input width x weight
+/// width), ties in grid order, and claimed through the pool's shared
+/// counter — so the expensive FP32/128K cells start first and free threads
+/// take the cheap tail.  The *fold* order is always fixed grid order
+/// (Wstore-major, precisions in spec order) — every cell's result lands in
+/// its own grid slot and the output is assembled from the slots afterwards
+/// — so JSON/CSV output is byte-identical at any thread count, under any
+/// schedule, and (after merge) for any shard count.  Scheduling order is a
+/// latency lever only; it must never be able to change a byte of output.
 ///
 /// Checkpoint failures and cache-file *load* failures (stale configuration,
 /// unreadable file) set *error and return an empty result when @p error is

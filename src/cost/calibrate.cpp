@@ -1,11 +1,7 @@
 #include "cost/calibrate.h"
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <stdexcept>
 #include <tuple>
@@ -519,36 +515,13 @@ bool Calibration::operator==(const Calibration& other) const {
 
 bool save_calibration(const Calibration& cal, const std::string& path,
                       std::string* error) {
-  const std::string temp = strfmt("%s.tmp.%d", path.c_str(),
-                                  static_cast<int>(::getpid()));
-  {
-    std::ofstream out(temp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      if (error) *error = strfmt("cannot write calibration artifact '%s'",
-                                 temp.c_str());
-      return false;
-    }
-    out << cal.serialize();
-    out.flush();
-    if (!out) {
-      if (error) *error = strfmt("cannot write calibration artifact '%s'",
-                                 temp.c_str());
-      std::remove(temp.c_str());
-      return false;
-    }
-  }
-  std::error_code ec;
-  std::filesystem::rename(temp, path, ec);
-  if (ec) {
-    if (error) {
-      *error = strfmt("cannot move calibration artifact into place at '%s': "
-                      "%s",
-                      path.c_str(), ec.message().c_str());
-    }
-    std::remove(temp.c_str());
-    return false;
-  }
-  return true;
+  return write_file_atomic(
+      path, "calibration artifact",
+      [&](std::ostream& out) {
+        out << cal.serialize();
+        return true;
+      },
+      error);
 }
 
 namespace {

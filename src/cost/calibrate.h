@@ -154,7 +154,7 @@ MacroMetrics derive_metrics_calibrated(const EvalContext& ctx,
                                        const CostedMacro& costed,
                                        const Calibration& cal);
 
-/// Atomically write the artifact (write-temp-then-rename, per-PID temp).
+/// Atomically write the artifact (write_file_atomic).
 bool save_calibration(const Calibration& cal, const std::string& path,
                       std::string* error);
 

@@ -1,7 +1,5 @@
 #include "cost/cost_cache.h"
 
-#include <unistd.h>
-
 #include <filesystem>
 #include <fstream>
 #include <optional>
@@ -417,44 +415,28 @@ bool CostCache::compact_memo_files(const std::vector<std::string>& sources,
   }
 
   // Pass 2 — stream the winners out in save()'s canonical order (shard
-  // bucket, then key), copying the original line bytes; writing to a
-  // per-PID temp then renaming keeps the output atomic even when it
-  // overwrites one of the sources.
-  const std::string tmp =
-      strfmt("%s.tmp.%d", out_path.c_str(), static_cast<int>(::getpid()));
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return fail(strfmt("cannot write cost cache '%s'", tmp.c_str()));
-    out << header_text << '\n';
-    std::string buf;
-    for (const auto& [bucket_key, ref] : order) {
-      std::ifstream& f = *files[ref.file];
-      f.seekg(static_cast<std::streamoff>(ref.offset));
-      buf.resize(ref.length);
-      f.read(buf.data(), static_cast<std::streamsize>(ref.length));
-      if (!f) {
-        out.close();
-        std::error_code cleanup_ec;
-        std::filesystem::remove(tmp, cleanup_ec);
-        return fail("memo-compact: re-reading a source line failed "
-                    "(file changed mid-compact?)");
-      }
-      out << buf << '\n';
-    }
-    out.flush();
-    if (!out) {
-      std::error_code cleanup_ec;
-      std::filesystem::remove(tmp, cleanup_ec);
-      return fail(strfmt("write to cost cache '%s' failed", tmp.c_str()));
-    }
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, out_path, ec);
-  if (ec) {
-    std::filesystem::remove(tmp, ec);
-    return fail(strfmt("cannot rename cost cache '%s' into place",
-                       out_path.c_str()));
-  }
+  // bucket, then key), copying the original line bytes; the atomic replace
+  // keeps the output whole even when it overwrites one of the sources.
+  const bool written = write_file_atomic(
+      out_path, "cost cache",
+      [&](std::ostream& out) {
+        out << header_text << '\n';
+        std::string buf;
+        for (const auto& [bucket_key, ref] : order) {
+          std::ifstream& f = *files[ref.file];
+          f.seekg(static_cast<std::streamoff>(ref.offset));
+          buf.resize(ref.length);
+          f.read(buf.data(), static_cast<std::streamsize>(ref.length));
+          if (!f) {
+            return fail("memo-compact: re-reading a source line failed "
+                        "(file changed mid-compact?)");
+          }
+          out << buf << '\n';
+        }
+        return true;
+      },
+      error);
+  if (!written) return false;
   st.entries = order.size();
   return true;
 }
@@ -502,10 +484,6 @@ bool CostCache::save_delta(const std::string& path, std::string* error) const {
 
 bool CostCache::save_impl(const std::string& path, std::string* error,
                           bool delta_only) const {
-  const auto fail = [&](const std::string& msg) {
-    if (error) *error = msg;
-    return false;
-  };
   // Snapshot under the shard locks (in shard/key order, so identical
   // contents serialize identically).
   std::string text = fingerprint_header().dump();
@@ -520,28 +498,15 @@ bool CostCache::save_impl(const std::string& path, std::string* error,
     }
   }
 
-  // Write-temp-then-rename: the file under the real name is always either
-  // the previous complete memo or the new complete memo, never a torn write.
-  // The temp name is per-process so concurrent savers of a shared cache file
-  // cannot interleave into one temp and rename a torn mix into place (last
-  // completed rename wins whole).
-  const std::string tmp =
-      strfmt("%s.tmp.%d", path.c_str(), static_cast<int>(::getpid()));
-  {
-    std::ofstream f(tmp, std::ios::binary | std::ios::trunc);
-    if (!f) return fail(strfmt("cannot write cost cache '%s'", tmp.c_str()));
-    f << text;
-    f.flush();
-    if (!f) return fail(strfmt("write to cost cache '%s' failed", tmp.c_str()));
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    std::filesystem::remove(tmp, ec);
-    return fail(strfmt("cannot rename cost cache '%s' into place",
-                       path.c_str()));
-  }
-  return true;
+  // Concurrent savers of one shared cache file each write their own temp;
+  // the last completed rename wins whole.
+  return write_file_atomic(
+      path, "cost cache",
+      [&](std::ostream& out) {
+        out << text;
+        return true;
+      },
+      error);
 }
 
 bool CostCache::load(const std::string& path, std::string* error,

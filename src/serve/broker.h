@@ -15,11 +15,10 @@
 //      side effects (compile --out, sweep checkpoints) are never cached:
 //      the client expects the files to (re)appear.
 //
-// Below the broker, the per-configuration CostCache + BatchCoalescer stack
-// (cost/batch_coalescer.h) dedups at the design-point level, so even
-// *different* requests overlapping in evaluated points share work.  The
-// broker is what turns "N clients ask the same question" into one answer
-// computed once.
+// Below the broker, the per-configuration CostCache (cost/cost_cache.h)
+// dedups at the design-point level, so even *different* requests
+// overlapping in evaluated points share work.  The broker is what turns
+// "N clients ask the same question" into one answer computed once.
 #pragma once
 
 #include <atomic>

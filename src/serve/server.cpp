@@ -76,16 +76,6 @@ bool run_request_cacheable(const std::vector<std::string>& argv) {
   return true;
 }
 
-Json coalescer_json(const BatchCoalescer& c) {
-  Json j = Json::object();
-  j["tickets"] = c.tickets();
-  j["direct_batches"] = c.direct_batches();
-  j["inner_batches"] = c.inner_batches();
-  j["inner_points"] = c.inner_points();
-  j["max_coalesced"] = static_cast<std::uint64_t>(c.max_coalesced());
-  return j;
-}
-
 }  // namespace
 
 ServeServer::ServeServer(Technology tech, ServeOptions opts)
@@ -319,9 +309,7 @@ CostCache* ServeServer::cache_for(const EvalConfig& eval) {
   if (it != caches_.end()) return it->second.cache.get();
 
   CacheStack stack;
-  auto coalescer = std::make_unique<BatchCoalescer>(std::move(model));
-  stack.coalescer = coalescer.get();
-  stack.cache = std::make_unique<CostCache>(std::move(coalescer));
+  stack.cache = std::make_unique<CostCache>(std::move(model));
   if (!opts_.cache_file.empty()) {
     // Delta files are persisted under this name: identity() keeps its
     // byte format (test_eval_identity pins the names).
@@ -406,7 +394,6 @@ Json ServeServer::status_json() const {
       c["misses"] = stack.cache->misses();
       c["base_loaded"] = stack.base_loaded;
       if (!stack.delta_path.empty()) c["delta_file"] = stack.delta_path;
-      c["coalescer"] = coalescer_json(*stack.coalescer);
       caches.push_back(std::move(c));
     }
   }

@@ -12,8 +12,7 @@
 //   response   identical finished requests replay cached bytes
 //   request    identical concurrent requests execute once (RequestBroker)
 //   point      distinct requests overlapping in evaluated design points
-//              share one warm CostCache per evaluation config, with a
-//              BatchCoalescer underneath merging small concurrent batches
+//              share one warm CostCache per evaluation config
 //
 // Requests dispatch through run_cli_hooked — the *same* code path as the
 // standalone binary — so a daemon response is byte-identical to
@@ -42,7 +41,6 @@
 #include <string>
 #include <thread>
 
-#include "cost/batch_coalescer.h"
 #include "cost/cost_cache.h"
 #include "cost/eval_config.h"
 #include "serve/broker.h"
@@ -96,7 +94,7 @@ class ServeServer {
   void wait(const std::function<bool()>& interrupted);
 
   /// The shared warm cache for an evaluation config, created on first use:
-  /// CostCache over BatchCoalescer over the model @p eval resolves to.
+  /// CostCache over the model @p eval resolves to.
   /// Stable for the server's lifetime.  Stacks are keyed by the resolved
   /// config's identity (EvalConfig::identity) — the artifact's content
   /// digest, never its path, so two paths to the same artifact share one
@@ -106,7 +104,7 @@ class ServeServer {
   CostCache* cache_for(const EvalConfig& eval);
 
   /// The `serve --status` payload: pid/socket, broker counters, per-config
-  /// cache + coalescer counters, active connection count.
+  /// cache counters, active connection count.
   Json status_json() const;
 
   const RequestBroker& broker() const { return broker_; }
@@ -125,7 +123,6 @@ class ServeServer {
   /// One evaluation stack; its model carries the config it was built for.
   struct CacheStack {
     std::unique_ptr<CostCache> cache;
-    const BatchCoalescer* coalescer = nullptr;
     std::string delta_path;  ///< empty when persistence is off
     bool base_loaded = false;
     /// Entry count at the last delta flush; a periodic (non-forced) flush

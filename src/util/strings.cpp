@@ -1,10 +1,14 @@
 #include "util/strings.h"
 
+#include <unistd.h>
+
 #include <cctype>
 #include <charconv>
 #include <cmath>
 #include <cstdarg>
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <system_error>
 #include <type_traits>
 
@@ -141,6 +145,33 @@ template bool parse_number_strict(const std::string&, double*);
 
 std::string shard_file_path(const std::string& base, int index, int count) {
   return strfmt("%s.shard-%d-of-%d", base.c_str(), index, count);
+}
+
+bool write_file_atomic(const std::string& path, const char* what,
+                       const std::function<bool(std::ostream&)>& writer,
+                       std::string* error) {
+  const std::string tmp =
+      strfmt("%s.tmp.%d", path.c_str(), static_cast<int>(::getpid()));
+  std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+  if (!out) {
+    if (error) *error = strfmt("cannot write %s '%s'", what, tmp.c_str());
+    return false;
+  }
+  const bool written = writer(out);
+  out.close();  // flushes; a failed flush or close sets failbit
+  std::error_code ec;
+  if (written && out) {
+    std::filesystem::rename(tmp, path, ec);
+    if (!ec) return true;
+  }
+  std::error_code cleanup_ec;
+  std::filesystem::remove(tmp, cleanup_ec);
+  if (error && written) {
+    *error = !out ? strfmt("write to %s '%s' failed", what, tmp.c_str())
+                  : strfmt("cannot rename %s '%s' into place: %s", what,
+                           path.c_str(), ec.message().c_str());
+  }
+  return false;
 }
 
 std::string heartbeat_file_path(const std::string& checkpoint) {

@@ -3,6 +3,8 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -54,6 +56,19 @@ bool parse_number_strict(const std::string& text, T* out);
 /// the sharded sweep (checkpoint shards and cost-memo shards share it).
 /// Requires count >= 1 and 0 <= index < count.
 std::string shard_file_path(const std::string& base, int index, int count);
+
+/// Replace the file at @p path atomically: @p writer streams the new
+/// content into the per-process temp file `<path>.tmp.<pid>`, which is then
+/// renamed over @p path, so readers (and a crash) see the old file or the
+/// new one whole, never a torn mix, and concurrent writers in different
+/// processes never share a temp file.  On any failure the temp file is
+/// removed, @p path keeps its old bytes and false is returned: when
+/// @p writer returns false it has reported its own failure; otherwise
+/// *error (if non-null) names the step that failed, @p what naming the
+/// file ("cost cache").  The one write-temp-then-rename in the repo.
+bool write_file_atomic(const std::string& path, const char* what,
+                       const std::function<bool(std::ostream&)>& writer,
+                       std::string* error);
 
 /// `<checkpoint>.hb`: the heartbeat file a sweep worker appends liveness
 /// lines to (one per K completed cells); the orchestrate supervisor watches

@@ -1,8 +1,10 @@
 #include "util/threadpool.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
-#include <deque>
+#include <exception>
+#include <memory>
 
 #include "util/assert.h"
 #include "util/strings.h"
@@ -81,27 +83,6 @@ void ThreadPool::worker_loop() {
   }
 }
 
-std::future<void> ThreadPool::submit(std::function<void()> task) {
-  SEGA_EXPECTS(task != nullptr);
-  auto packaged =
-      std::make_shared<std::packaged_task<void()>>(std::move(task));
-  std::future<void> future = packaged->get_future();
-  if (workers_.empty()) {
-    // Size-1 pool: run inline.  The packaged_task still captures exceptions
-    // into the future, matching the threaded path's contract.
-    TaskScope scope;
-    (*packaged)();
-    return future;
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    SEGA_EXPECTS(!stop_);
-    queue_.emplace([packaged] { (*packaged)(); });
-  }
-  cv_.notify_one();
-  return future;
-}
-
 void ThreadPool::parallel_for(std::size_t n,
                               const std::function<void(std::size_t)>& fn) {
   if (n == 0) return;
@@ -171,118 +152,6 @@ void ThreadPool::parallel_for(std::size_t n,
         lock, [&] { return batch->done.load() == batch->total; });
   }
   if (batch->error) std::rethrow_exception(batch->error);
-}
-
-void ThreadPool::parallel_for_stealing(
-    const std::vector<std::size_t>& items,
-    const std::function<void(std::size_t)>& fn) {
-  if (items.empty()) return;
-  SEGA_EXPECTS(fn != nullptr);
-
-  // Nested call from inside a pool task: run inline, in items order — same
-  // degradation as parallel_for.
-  if (tl_inside_pool_task) {
-    for (const std::size_t item : items) fn(item);
-    return;
-  }
-
-  // One mutex-guarded deque per participant.  The items here are coarse
-  // (whole DSE runs, not single evaluations), so a lock per pop/steal is
-  // noise next to the work it hands out; no lock-free deque needed.
-  struct Steal {
-    struct Deque {
-      std::mutex mu;
-      std::deque<std::size_t> items;
-    };
-    std::vector<Deque> deques;
-    std::atomic<std::size_t> next_participant{0};
-    std::atomic<std::size_t> done{0};
-    std::atomic<bool> failed{false};
-    std::size_t total = 0;
-    std::exception_ptr error;
-    std::mutex error_mu;
-    std::mutex done_mu;
-    std::condition_variable done_cv;
-  };
-  auto state = std::make_shared<Steal>();
-  state->total = items.size();
-
-  // The calling thread plus at most one helper per item beyond the first.
-  const std::size_t helpers =
-      std::min(workers_.size(), items.size() - 1);
-  const std::size_t participants = helpers + 1;
-  state->deques = std::vector<Steal::Deque>(participants);
-  for (std::size_t j = 0; j < items.size(); ++j) {
-    state->deques[j % participants].items.push_back(items[j]);
-  }
-
-  const auto run_participant = [fn, state, participants] {
-    TaskScope scope;
-    const std::size_t me = state->next_participant.fetch_add(1);
-    for (;;) {
-      std::size_t item = 0;
-      bool got = false;
-      {
-        // Own deque: pop the front — the highest-priority item dealt to us.
-        Steal::Deque& mine = state->deques[me];
-        std::lock_guard<std::mutex> lock(mine.mu);
-        if (!mine.items.empty()) {
-          item = mine.items.front();
-          mine.items.pop_front();
-          got = true;
-        }
-      }
-      if (!got) {
-        // Steal from the back of the first non-empty victim — the victim's
-        // cheapest remaining item, so its own high-priority front is left
-        // alone.
-        for (std::size_t v = 1; v < participants && !got; ++v) {
-          Steal::Deque& victim = state->deques[(me + v) % participants];
-          std::lock_guard<std::mutex> lock(victim.mu);
-          if (!victim.items.empty()) {
-            item = victim.items.back();
-            victim.items.pop_back();
-            got = true;
-          }
-        }
-      }
-      // Every deque empty: nothing left to claim (items never respawn), so
-      // this participant is finished even if others still run their last
-      // item.
-      if (!got) return;
-      if (!state->failed.load()) {
-        try {
-          fn(item);
-        } catch (...) {
-          std::lock_guard<std::mutex> lock(state->error_mu);
-          if (!state->error) state->error = std::current_exception();
-          state->failed.store(true);
-        }
-      }
-      if (state->done.fetch_add(1) + 1 == state->total) {
-        std::lock_guard<std::mutex> lock(state->done_mu);
-        state->done_cv.notify_all();
-      }
-    }
-  };
-
-  if (helpers > 0) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      SEGA_EXPECTS(!stop_);
-      for (std::size_t i = 0; i < helpers; ++i) queue_.push(run_participant);
-    }
-    cv_.notify_all();
-  }
-
-  run_participant();
-
-  if (helpers > 0) {
-    std::unique_lock<std::mutex> lock(state->done_mu);
-    state->done_cv.wait(
-        lock, [&] { return state->done.load() == state->total; });
-  }
-  if (state->error) std::rethrow_exception(state->error);
 }
 
 void ThreadPool::parallel_for_chunks(

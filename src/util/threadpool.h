@@ -21,7 +21,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <functional>
-#include <future>
 #include <mutex>
 #include <queue>
 #include <thread>
@@ -42,17 +41,16 @@ class ThreadPool {
   /// calling thread, which participates in parallel_for batches).
   int size() const { return size_; }
 
-  /// Enqueue one task.  The future resolves when the task finishes and
-  /// rethrows anything the task threw.
-  std::future<void> submit(std::function<void()> task);
-
   /// Run fn(i) for every i in [0, n); blocks until all calls return.
   /// The calling thread helps execute the batch.  If any invocation throws,
   /// the remaining indices are abandoned and the first exception (by
   /// completion order) is rethrown here.  parallel_for(0, fn) is a no-op.
-  /// Reentrant-safe: when called from inside a pool task (a submit()ted
-  /// task or another parallel_for body, on any pool) the loop runs inline
-  /// serially on the calling thread, so nested parallelism cannot deadlock
+  /// Indices are claimed from one shared counter in ascending order, so a
+  /// caller that wants longest-first scheduling passes its items sorted by
+  /// descending cost: each free thread takes the most expensive one left.
+  /// Reentrant-safe: when called from inside a pool task (another
+  /// parallel_for body, on any pool) the loop runs inline serially on the
+  /// calling thread, in index order, so nested parallelism cannot deadlock
   /// or oversubscribe.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
@@ -67,25 +65,6 @@ class ThreadPool {
   /// parallel_for (nested calls run inline serially).
   void parallel_for_chunks(std::size_t n, std::size_t max_chunk,
                            const std::function<void(std::size_t, std::size_t)>& fn);
-
-  /// Run fn(item) for every element of @p items, scheduled through
-  /// per-thread work-stealing deques instead of parallel_for's single shared
-  /// counter.  Items are dealt round-robin across the participating threads'
-  /// deques in the order given, so a priority-sorted list starts its most
-  /// expensive items on distinct threads immediately; each participant pops
-  /// its own deque front-first (highest priority it owns) and, when empty,
-  /// steals from the back of another's (the victim's cheapest remaining
-  /// work).  Long items therefore stop serializing the tail: whoever drains
-  /// first takes over the leftovers instead of idling.
-  ///
-  /// The determinism contract is parallel_for's: items are visited exactly
-  /// once, callers write per-item slots and reduce in a fixed order
-  /// afterwards, so results are independent of the (nondeterministic) steal
-  /// schedule.  Same reentrancy contract (nested calls run inline serially,
-  /// in items order) and same exception policy (first failure wins, not-yet-
-  /// started items are abandoned).
-  void parallel_for_stealing(const std::vector<std::size_t>& items,
-                             const std::function<void(std::size_t)>& fn);
 
   /// True while the calling thread is executing a pool task (any pool).
   static bool inside_pool_task();

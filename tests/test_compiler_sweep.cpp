@@ -837,6 +837,41 @@ TEST(SweepTest, FoldOrderIsGridOrderRegardlessOfSchedulingOrder) {
   }
 }
 
+TEST_F(SweepCheckpointTest, CellsRunLongestFirst) {
+  // The schedule contract: pending cells start in descending predicted cost
+  // (Wstore x input bits x weight bits), ties in grid order, so the most
+  // expensive cells never queue behind cheap ones.  At one thread a cell's
+  // checkpoint line is appended in the order the cells start.  Grid order
+  // here differs from cost order, and (4096, INT8) ties (16384, INT4) at
+  // 2^18, so a tie broken any way but grid order fails too.
+  SweepSpec spec;
+  spec.wstores = {4096, 16384};
+  spec.precisions = {precision_int4(), precision_fp32(), precision_int8()};
+  spec.dse.population = 16;
+  spec.dse.generations = 6;
+  spec.dse.seed = 3;
+  spec.dse.threads = 1;
+  spec.checkpoint = ckpt("order.jsonl");
+  const Compiler compiler(Technology::tsmc28());
+  std::string error;
+  run_sweep(compiler, spec, &error);
+  ASSERT_TRUE(error.empty()) << error;
+
+  const std::vector<std::pair<std::int64_t, std::string>> expected = {
+      {16384, "FP32"}, {4096, "FP32"},  {16384, "INT8"},
+      {4096, "INT8"},  {16384, "INT4"}, {4096, "INT4"}};
+  const auto lines = lines_of(spec.checkpoint);
+  ASSERT_EQ(lines.size(), 1u + expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    const auto line = Json::parse(lines[i + 1]);
+    ASSERT_TRUE(line.has_value()) << lines[i + 1];
+    const Json& cell = line->at("cell");
+    EXPECT_EQ(cell.at("wstore").as_int(), expected[i].first) << "line " << i;
+    EXPECT_EQ(cell.at("precision").as_string(), expected[i].second)
+        << "line " << i;
+  }
+}
+
 // --- persistent cost-cache memo --------------------------------------------
 
 using SweepCacheFileTest = SweepCheckpointTest;

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "arch/space.h"
-#include "cost/batch_coalescer.h"
 #include "cost/cost_cache.h"
 #include "cost/cost_model.h"
 #include "cost/rtl_cost_model.h"
@@ -119,13 +118,10 @@ TEST(LayoutCostTest, MakeCostModelRespectsLayoutToggle) {
   EXPECT_FALSE(off->layout_enabled());
   EXPECT_TRUE(on->layout_enabled());
 
-  // Decorators must propagate the identity bit unchanged.
+  // The cache decorator must propagate the identity bit unchanged.
   CostCache cache(make_cost_model(CostModelKind::kAnalytic, tech,
                                   EvalConditions{}, nullptr, true));
   EXPECT_TRUE(cache.layout_enabled());
-  BatchCoalescer coalescer(make_cost_model(CostModelKind::kAnalytic, tech,
-                                           EvalConditions{}, nullptr, true));
-  EXPECT_TRUE(coalescer.layout_enabled());
 }
 
 TEST(LayoutCostTest, MemoCrossLoadRejectedBothDirections) {

@@ -178,6 +178,16 @@ TEST_F(ServeServerTest, ConcurrentIdenticalRequestsEvaluateExactlyOnce) {
   // would read.
   const Json status = server->status_json();
   EXPECT_EQ(status.at("broker").at("executions").as_int(), 1);
+  // One config, one stack: a CostCache over the model, reporting its own
+  // identity and counters and nothing layered beneath it.
+  ASSERT_EQ(status.at("caches").size(), 1u);
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : status.at("caches").at(0).items()) {
+    keys.push_back(key);
+  }
+  EXPECT_EQ(keys, (std::vector<std::string>{
+                      "activity", "backend", "base_loaded", "entries", "hits",
+                      "input_sparsity", "misses", "supply_v"}));
 }
 
 TEST_F(ServeServerTest, SweepViaDaemonMatchesInProcessOutputAndFiles) {

@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <filesystem>
+#include <ostream>
+#include <string>
+#include <vector>
+
+#include "test_support.h"
 
 namespace sega {
 namespace {
@@ -114,6 +121,88 @@ TEST(StringsTest, ParseNumberStrictRejectsEverythingElse) {
     EXPECT_FALSE(parse_number_strict(text, &d)) << "'" << text << "'";
     EXPECT_EQ(d, 17) << text;
   }
+}
+
+// --- write_file_atomic ------------------------------------------------------
+
+std::vector<std::string> dir_entries(const test::ScopedTempDir& dir) {
+  std::vector<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(dir.path())) {
+    names.push_back(entry.path().filename().string());
+  }
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+bool write_new(std::ostream& out) {
+  out << "new\n";
+  return true;
+}
+
+TEST(WriteFileAtomicTest, SuccessfulWriterReplacesTheBytes) {
+  test::ScopedTempDir dir("sega_atomic_test");
+  const std::string path = dir.file("memo.jsonl");
+  test::write_file(path, "old contents\n");
+  std::string error;
+  EXPECT_TRUE(write_file_atomic(path, "test file", write_new, &error))
+      << error;
+  EXPECT_EQ(test::read_file(path), "new\n");
+  EXPECT_EQ(dir_entries(dir), std::vector<std::string>{"memo.jsonl"});
+  // A fresh path is created the same way.
+  EXPECT_TRUE(write_file_atomic(dir.file("fresh"), "test file", write_new,
+                                &error))
+      << error;
+  EXPECT_EQ(test::read_file(dir.file("fresh")), "new\n");
+}
+
+TEST(WriteFileAtomicTest, FailingWriterLeavesTheOldBytesAndNoTempFile) {
+  test::ScopedTempDir dir("sega_atomic_test");
+  const std::string path = dir.file("memo.jsonl");
+  test::write_file(path, "old contents\n");
+
+  // A writer that gives up part-way reports its own failure.
+  std::string error = "set by the writer";
+  EXPECT_FALSE(write_file_atomic(
+      path, "test file",
+      [](std::ostream& out) {
+        out << "partial";
+        return false;
+      },
+      &error));
+  EXPECT_EQ(error, "set by the writer");
+  EXPECT_EQ(test::read_file(path), "old contents\n");
+  EXPECT_EQ(dir_entries(dir), std::vector<std::string>{"memo.jsonl"});
+
+  // A stream that fails under the writer (a full disk, a failed flush).
+  EXPECT_FALSE(write_file_atomic(
+      path, "test file",
+      [](std::ostream& out) {
+        out << "partial";
+        out.setstate(std::ios::badbit);
+        return true;
+      },
+      &error));
+  EXPECT_NE(error.find("write to test file"), std::string::npos) << error;
+  EXPECT_EQ(test::read_file(path), "old contents\n");
+  EXPECT_EQ(dir_entries(dir), std::vector<std::string>{"memo.jsonl"});
+}
+
+TEST(WriteFileAtomicTest, FailedOpenOrRenameIsReportedAndLeavesNoTempFile) {
+  test::ScopedTempDir dir("sega_atomic_test");
+  std::string error;
+  // The temp file cannot be created: its directory does not exist.
+  EXPECT_FALSE(write_file_atomic(dir.file("missing/out"), "test file",
+                                 write_new, &error));
+  EXPECT_NE(error.find("cannot write test file"), std::string::npos) << error;
+
+  // The rename cannot replace a directory.
+  const std::string occupied = dir.file("occupied");
+  std::filesystem::create_directories(occupied + "/child");
+  EXPECT_FALSE(write_file_atomic(occupied, "test file", write_new, &error));
+  EXPECT_NE(error.find("cannot rename test file"), std::string::npos)
+      << error;
+  EXPECT_EQ(dir_entries(dir), std::vector<std::string>{"occupied"});
+  EXPECT_TRUE(std::filesystem::is_directory(occupied + "/child"));
 }
 
 }  // namespace

@@ -20,26 +20,6 @@ TEST(ThreadPoolTest, SizeIsAtLeastOne) {
   EXPECT_EQ(four.size(), 4);
 }
 
-TEST(ThreadPoolTest, SubmitRunsTask) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 32; ++i) {
-    futures.push_back(pool.submit([&counter] { ++counter; }));
-  }
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(counter.load(), 32);
-}
-
-TEST(ThreadPoolTest, SubmitPropagatesExceptionThroughFuture) {
-  ThreadPool pool(2);
-  auto future = pool.submit([] { throw std::runtime_error("boom"); });
-  EXPECT_THROW(future.get(), std::runtime_error);
-  // The pool stays usable after a task threw.
-  auto ok = pool.submit([] {});
-  EXPECT_NO_THROW(ok.get());
-}
-
 TEST(ThreadPoolTest, ParallelForCoversEveryIndexExactlyOnce) {
   for (const int threads : {1, 2, 8}) {
     ThreadPool pool(threads);
@@ -121,22 +101,6 @@ TEST(ThreadPoolTest, NestedParallelForRunsInlineAndCoversAllIndices) {
   }
 }
 
-TEST(ThreadPoolTest, SubmittedTaskSeesInsidePoolTask) {
-  for (const int threads : {1, 2}) {
-    ThreadPool pool(threads);
-    auto future = pool.submit([] {
-      EXPECT_TRUE(ThreadPool::inside_pool_task());
-      // Nested parallel_for from a submitted task is inline-serial too.
-      std::vector<int> slots(8, 0);
-      ThreadPool::global().parallel_for(slots.size(),
-                                        [&](std::size_t i) { slots[i] = 1; });
-      for (const int s : slots) EXPECT_EQ(s, 1);
-    });
-    future.get();
-    EXPECT_FALSE(ThreadPool::inside_pool_task());
-  }
-}
-
 TEST(ThreadPoolTest, ParallelForChunksCoversEveryIndexExactlyOnce) {
   for (const int threads : {1, 2, 8}) {
     ThreadPool pool(threads);
@@ -190,94 +154,6 @@ TEST(ThreadPoolTest, NestedParallelForChunksRunsInline) {
     for (std::size_t i = 0; i < kInner; ++i) {
       ASSERT_EQ(slots[o][i].load(), 1) << "outer " << o << " inner " << i;
     }
-  }
-}
-
-TEST(ThreadPoolTest, ParallelForStealingRunsEveryItemExactlyOnce) {
-  for (const int threads : {1, 2, 8}) {
-    ThreadPool pool(threads);
-    for (const std::size_t n :
-         {std::size_t{1}, std::size_t{7}, std::size_t{250}}) {
-      // Items are arbitrary payloads, not 0..n-1 — feed a scrambled,
-      // offset sequence (stride 3 is coprime with both test sizes, so the
-      // payloads stay distinct) and count hits per payload.
-      std::vector<std::size_t> items;
-      for (std::size_t j = 0; j < n; ++j) items.push_back(1000 + (j * 3) % n);
-      std::vector<std::atomic<int>> hits(1000 + n);
-      pool.parallel_for_stealing(items,
-                                 [&](std::size_t item) { ++hits[item]; });
-      for (const std::size_t item : items) {
-        ASSERT_EQ(hits[item].load(), 1)
-            << "item " << item << " n " << n << " threads " << threads;
-      }
-    }
-  }
-}
-
-TEST(ThreadPoolTest, ParallelForStealingEmptyIsANoOp) {
-  ThreadPool pool(4);
-  pool.parallel_for_stealing({}, [](std::size_t) {
-    FAIL() << "must not be called";
-  });
-  std::atomic<int> counter{0};
-  pool.parallel_for_stealing({5, 6, 7}, [&](std::size_t) { ++counter; });
-  EXPECT_EQ(counter.load(), 3);
-}
-
-TEST(ThreadPoolTest, ParallelForStealingPropagatesException) {
-  for (const int threads : {1, 4}) {
-    ThreadPool pool(threads);
-    std::vector<std::size_t> items(64);
-    std::iota(items.begin(), items.end(), 0);
-    EXPECT_THROW(pool.parallel_for_stealing(
-                     items,
-                     [](std::size_t item) {
-                       if (item == 13) throw std::runtime_error("unlucky");
-                     }),
-                 std::runtime_error);
-    // Usable after the failed batch.
-    std::atomic<int> counter{0};
-    pool.parallel_for_stealing({1, 2, 3}, [&](std::size_t) { ++counter; });
-    EXPECT_EQ(counter.load(), 3);
-  }
-}
-
-TEST(ThreadPoolTest, ParallelForStealingLoadBalancesUnevenItems) {
-  // One item 100x longer than the rest: with stealing, the cheap tail must
-  // not sit behind it in any single queue — every item still runs exactly
-  // once and the batch completes.  (Latency is not asserted — only that the
-  // steal path executes correctly when deques drain unevenly.)
-  ThreadPool pool(4);
-  constexpr std::size_t kN = 64;
-  std::vector<std::size_t> items(kN);
-  std::iota(items.begin(), items.end(), 0);
-  std::vector<std::atomic<int>> hits(kN);
-  pool.parallel_for_stealing(items, [&](std::size_t item) {
-    if (item == 0) {
-      volatile double sink = 0;
-      for (int i = 0; i < 2000000; ++i) sink = sink + 1.0 / (1 + i);
-    }
-    ++hits[item];
-  });
-  for (std::size_t i = 0; i < kN; ++i) {
-    ASSERT_EQ(hits[i].load(), 1) << "item " << i;
-  }
-}
-
-TEST(ThreadPoolTest, NestedParallelForStealingRunsInlineInItemOrder) {
-  // Same reentrancy degradation as parallel_for — and inline execution is
-  // in the given items order, which nested (deterministic) callers rely on.
-  ThreadPool pool(4);
-  constexpr std::size_t kOuter = 8;
-  std::vector<std::vector<std::size_t>> orders(kOuter);
-  pool.parallel_for(kOuter, [&](std::size_t o) {
-    ThreadPool::global().parallel_for_stealing(
-        {3, 1, 4, 1, 5}, [&, o](std::size_t item) {
-          orders[o].push_back(item);
-        });
-  });
-  for (std::size_t o = 0; o < kOuter; ++o) {
-    EXPECT_EQ(orders[o], (std::vector<std::size_t>{3, 1, 4, 1, 5}));
   }
 }
 
