@@ -20,6 +20,7 @@
 #include "layout/floorplan.h"
 #include "rtl/harness.h"
 #include "rtl/macro_builder.h"
+#include "rtl/sta.h"
 #include "rtl/verilog.h"
 #include "util/rng.h"
 
@@ -241,6 +242,20 @@ void BM_Floorplan(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Floorplan);
+
+// Static timing of the macro BM_Floorplan places: levelize, then propagate
+// arrival times — the delay measurement of every RTL evaluation.
+void BM_RunSta(benchmark::State& state) {
+  const Technology tech = Technology::tsmc28();
+  DesignPoint dp = fig6("INT8");
+  dp.h = 16;
+  dp.l = 32;
+  const DcimMacro macro = build_dcim_macro(dp);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(run_sta(macro.netlist, tech));
+  }
+}
+BENCHMARK(BM_RunSta);
 
 // One full layout/interconnect stage per iteration — build + floorplan +
 // HPWL + parasitic fold, i.e. the per-point premium `--layout` adds on top

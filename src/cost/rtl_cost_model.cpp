@@ -168,13 +168,18 @@ RtlCostModel::RtlCostModel(const Technology& tech, EvalConditions cond,
 
 MacroMetrics RtlCostModel::evaluate(const DesignPoint& dp) const {
   // --- elaboration: the generated netlist is the ground truth -------------
+  // The harness levelizes the netlist once; STA and the simulation engine
+  // both read that topology.
   DcimHarness harness(dp);
   elaborations_.fetch_add(1, std::memory_order_relaxed);
   const Netlist& nl = harness.macro().netlist;
   const Technology& technology = tech();
 
+  // One census pass: per group for the breakdown below, summed for the
+  // whole macro.
+  const std::vector<GateCount> census = nl.census_by_group();
   MacroMetrics m;
-  m.gates = nl.census();
+  for (const GateCount& group : census) m.gates += group;
   m.area_gates = m.gates.area(technology);
   m.cycles_per_input = dp.cycles_per_input();
 
@@ -182,8 +187,8 @@ MacroMetrics RtlCostModel::evaluate(const DesignPoint& dp) const {
   // The clock period is the worst arrival anywhere — register setup paths
   // (buffer -> select -> multiply -> tree -> accumulator) and the fused
   // outputs, which are consumed every cycle.
-  const StaResult sta = run_sta(nl, technology);
-  m.delay_gates = sta.critical_delay();
+  m.delay_gates =
+      run_sta(nl, harness.topology(), technology).critical_delay();
 
   // --- energy: measured switching activity over workload vectors ----------
   // Program every SRAM bit cell with a random value (covers every slot and
@@ -212,8 +217,7 @@ MacroMetrics RtlCostModel::evaluate(const DesignPoint& dp) const {
   for (std::size_t gi = 0; gi < nl.group_names().size(); ++gi) {
     const std::string& name = nl.group_names()[gi];
     if (name == "core") continue;
-    m.area_breakdown[name] =
-        nl.census_of_group(static_cast<int>(gi)).area(technology);
+    m.area_breakdown[name] = census[gi].area(technology);
   }
 
   // --- absolute derivation -------------------------------------------------

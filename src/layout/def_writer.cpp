@@ -56,7 +56,7 @@ std::string write_def(const MacroLayout& layout, const Netlist& nl) {
   for (const auto& r : layout.regions) {
     for (const auto& pc : r.placement.cells) {
       out += strfmt("- u%zu %s + FIXED ( %lld %lld ) N ;\n", pc.cell_index,
-                    def_cell_name(nl.cells()[pc.cell_index].kind),
+                    def_cell_name(nl.cell_kind(pc.cell_index)),
                     db(r.x_um + pc.x), db(r.y_um + pc.y));
     }
   }

@@ -1,6 +1,7 @@
 #include "layout/floorplan.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "util/assert.h"
@@ -62,11 +63,15 @@ RegionLayout place_region(const std::string& name, const Technology& tech,
   region.cell_count = static_cast<std::int64_t>(cells.size());
   if (cells.empty()) return region;
 
+  std::array<double, kCellKindCount> width_of{};
+  for (int k = 0; k < kCellKindCount; ++k) {
+    width_of[static_cast<std::size_t>(k)] = cell_tile_width(
+        tech, static_cast<CellKind>(k), base.row_height_um);
+  }
   std::vector<double> widths;
   widths.reserve(cells.size());
   for (const std::size_t ci : cells) {
-    widths.push_back(
-        cell_tile_width(tech, nl.cells()[ci].kind, base.row_height_um));
+    widths.push_back(width_of[static_cast<std::size_t>(nl.cell_kind(ci))]);
   }
   PlacerOptions opt = base;
   opt.target_width_um = target_width;
@@ -89,25 +94,33 @@ MacroLayout floorplan_macro(const Technology& tech, const DcimMacro& macro,
   // --- memory tile sets the macro width ---
   RegionLayout mem = tile_memory(tech, macro, options);
 
-  // --- partition the remaining cells ---
+  // --- partition the remaining cells (each group classified once) ---
   const Netlist& nl = macro.netlist;
+  std::vector<std::uint8_t> compute_group(nl.group_names().size());
+  for (std::size_t g = 0; g < compute_group.size(); ++g) {
+    compute_group[g] = is_compute_group(nl.group_names()[g]) ? 1 : 0;
+  }
   std::vector<std::size_t> compute_cells;
   std::vector<std::size_t> periph_cells;
   for (std::size_t ci = 0; ci < nl.cells().size(); ++ci) {
-    if (nl.cells()[ci].kind == CellKind::kSram) continue;
-    const std::string& g =
-        nl.group_names()[static_cast<std::size_t>(nl.cell_group(ci))];
-    (is_compute_group(g) ? compute_cells : periph_cells).push_back(ci);
+    if (nl.cell_kind(ci) == CellKind::kSram) continue;
+    const auto g = static_cast<std::size_t>(nl.cell_group(ci));
+    (compute_group[g] != 0 ? compute_cells : periph_cells).push_back(ci);
   }
 
   // Common region width: wide enough for the memory tile, and wide enough
   // that the stacked macro approaches the target aspect ratio.
+  std::array<double, kCellKindCount> area_of{};
+  for (int k = 0; k < kCellKindCount; ++k) {
+    area_of[static_cast<std::size_t>(k)] =
+        tech.area_um2(tech.cell(static_cast<CellKind>(k)).area);
+  }
   double other_area = 0.0;
   for (const std::size_t ci : compute_cells) {
-    other_area += tech.area_um2(tech.cell(nl.cells()[ci].kind).area);
+    other_area += area_of[static_cast<std::size_t>(nl.cell_kind(ci))];
   }
   for (const std::size_t ci : periph_cells) {
-    other_area += tech.area_um2(tech.cell(nl.cells()[ci].kind).area);
+    other_area += area_of[static_cast<std::size_t>(nl.cell_kind(ci))];
   }
   const double est_total =
       mem.width_um * mem.height_um +

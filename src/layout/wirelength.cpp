@@ -29,7 +29,7 @@ WirelengthReport estimate_wirelength(const MacroLayout& layout,
       // The tile-centre approximation is a fallback for bit cells inside the
       // tiled array, which the row placer never touches; an SRAM cell the
       // placer did position keeps its placed coordinate.
-      if (nl.cells()[ci].kind == CellKind::kSram && !cell_pos[ci].known) {
+      if (nl.cell_kind(ci) == CellKind::kSram && !cell_pos[ci].known) {
         cell_pos[ci] = centre;
       }
     }
@@ -50,15 +50,13 @@ WirelengthReport estimate_wirelength(const MacroLayout& layout,
     }
   };
   std::vector<Box> boxes(nl.net_count());
-  for (std::size_t ci = 0; ci < nl.cells().size(); ++ci) {
+  const CellList cells = nl.cells();
+  for (std::size_t ci = 0; ci < cells.size(); ++ci) {
     if (!cell_pos[ci].known) continue;
-    const bool sram = nl.cells()[ci].kind == CellKind::kSram;
-    for (const NetId n : nl.cells()[ci].inputs) {
-      boxes[n].add(cell_pos[ci], sram);
-    }
-    for (const NetId n : nl.cells()[ci].outputs) {
-      boxes[n].add(cell_pos[ci], sram);
-    }
+    const RtlCell cell = cells[ci];
+    const bool sram = cell.kind == CellKind::kSram;
+    for (const NetId n : cell.inputs) boxes[n].add(cell_pos[ci], sram);
+    for (const NetId n : cell.outputs) boxes[n].add(cell_pos[ci], sram);
   }
 
   WirelengthReport report;

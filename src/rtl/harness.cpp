@@ -26,18 +26,34 @@ std::vector<std::uint64_t> pack_values(const std::vector<std::uint64_t>& lanes,
 }  // namespace
 
 DcimHarness::DcimHarness(const DesignPoint& dp)
-    : macro_(build_dcim_macro(dp)), sim_(macro_.netlist) {}
+    : macro_(build_dcim_macro(dp)),
+      topo_(macro_.netlist),
+      sram_bits_(macro_.netlist.sram_cells().size(), 0) {}
+
+namespace {
+
+/// Builds an engine over the harness's topology, programmed with the SRAM
+/// bits recorded so far (a fresh engine holds zeros everywhere else).
+template <typename Engine>
+std::unique_ptr<Engine> build_engine(const DcimMacro& macro,
+                                     const SimTopology& topo,
+                                     const std::vector<std::uint8_t>& bits) {
+  auto engine = std::make_unique<Engine>(macro.netlist, topo);
+  for (std::size_t i = 0; i < bits.size(); ++i) {
+    if (bits[i] != 0) engine->set_sram(i, true);
+  }
+  return engine;
+}
+
+}  // namespace
+
+GateSim& DcimHarness::sim() {
+  if (!sim_) sim_ = build_engine<GateSim>(macro_, topo_, sram_bits_);
+  return *sim_;
+}
 
 GateSimWide& DcimHarness::wide_sim() {
-  if (!wide_) {
-    wide_ = std::make_unique<GateSimWide>(macro_.netlist);
-    // Mirror whatever weights were programmed before the first batch call.
-    const auto& srams = macro_.netlist.sram_cells();
-    for (std::size_t i = 0; i < srams.size(); ++i) {
-      const NetId q = macro_.netlist.cells()[srams[i]].outputs[0];
-      wide_->set_sram(i, sim_.net_value(q));
-    }
-  }
+  if (!wide_) wide_ = build_engine<GateSimWide>(macro_, topo_, sram_bits_);
   return *wide_;
 }
 
@@ -51,7 +67,8 @@ void DcimHarness::load_weight(std::int64_t group, std::int64_t row,
     const bool bit = (value >> j) & 1u;
     // Inverted storage: SRAM holds WB.
     const std::size_t index = macro_.sram_index(column, row, slot);
-    sim_.set_sram(index, !bit);
+    sram_bits_[index] = bit ? 0 : 1;
+    if (sim_) sim_->set_sram(index, !bit);
     if (wide_) wide_->set_sram(index, !bit);
   }
 }
@@ -75,17 +92,18 @@ void DcimHarness::run_streaming(std::int64_t slot) {
   // a pure function of (SRAM, operand, slot) — see harness.h.  The clears
   // are forced writes (never billed); the trace window opens at the barrier
   // below, once every input of this operand is presented.
-  sim_.clear_registers();
-  sim_.set_input("wsel", static_cast<std::uint64_t>(slot));
+  GateSim& scalar = sim();
+  scalar.clear_registers();
+  scalar.set_input("wsel", static_cast<std::uint64_t>(slot));
   const int latency = macro_.tree_latency;
-  sim_.set_input("slice", 0);
-  if (latency > 0) sim_.set_input("valid", 0);
-  sim_.trace_barrier();
+  scalar.set_input("slice", 0);
+  if (latency > 0) scalar.set_input("valid", 0);
+  scalar.trace_barrier();
   // Load the input buffer.
-  sim_.step();
+  scalar.step();
   // Clear accumulators (the buffer keeps recapturing the held operands).
   for (const std::size_t ci : macro_.accumulator_dffs) {
-    sim_.set_register(ci, false);
+    scalar.set_register(ci, false);
   }
   // Stream the slices MSB-first.  With a pipelined tree the partial for the
   // slice driven at step t reaches the accumulator at step t + latency, so
@@ -93,9 +111,9 @@ void DcimHarness::run_streaming(std::int64_t slot) {
   const int total = macro_.cycles + latency;
   for (int t = 0; t < total; ++t) {
     const int c = std::min(t, macro_.cycles - 1);
-    sim_.set_input("slice", static_cast<std::uint64_t>(c));
-    if (latency > 0) sim_.set_input("valid", t >= latency ? 1 : 0);
-    sim_.step();
+    scalar.set_input("slice", static_cast<std::uint64_t>(c));
+    if (latency > 0) scalar.set_input("valid", t >= latency ? 1 : 0);
+    scalar.step();
   }
 }
 
@@ -142,13 +160,12 @@ std::vector<std::uint64_t> DcimHarness::compute_int(
   for (std::size_t r = 0; r < inputs.size(); ++r) {
     SEGA_EXPECTS(inputs[r] < (std::uint64_t{1} << bx));
     const std::uint64_t mask = (std::uint64_t{1} << bx) - 1;
-    sim_.set_input(strfmt("inb%zu", r), ~inputs[r] & mask);
+    sim().set_input(strfmt("inb%zu", r), ~inputs[r] & mask);
   }
   run_streaming(slot);
   std::vector<std::uint64_t> out(static_cast<std::size_t>(macro_.groups));
   for (int g = 0; g < macro_.groups; ++g) {
-    out[static_cast<std::size_t>(g)] =
-        sim_.read_output(strfmt("out%d", g));
+    out[static_cast<std::size_t>(g)] = sim().read_output(strfmt("out%d", g));
   }
   return out;
 }
@@ -237,8 +254,8 @@ DcimHarness::FpOutput DcimHarness::compute_fp(
   for (std::size_t r = 0; r < exponents.size(); ++r) {
     SEGA_EXPECTS(exponents[r] < (std::uint64_t{1} << be));
     SEGA_EXPECTS(mantissas[r] < (std::uint64_t{1} << bm));
-    sim_.set_input(strfmt("exp%zu", r), exponents[r]);
-    sim_.set_input(strfmt("mant%zu", r), mantissas[r]);
+    sim().set_input(strfmt("exp%zu", r), exponents[r]);
+    sim().set_input(strfmt("mant%zu", r), mantissas[r]);
   }
   run_streaming(slot);
   FpOutput out;
@@ -246,11 +263,11 @@ DcimHarness::FpOutput DcimHarness::compute_fp(
   out.exponent.resize(static_cast<std::size_t>(macro_.groups));
   for (int g = 0; g < macro_.groups; ++g) {
     out.mantissa[static_cast<std::size_t>(g)] =
-        sim_.read_output(strfmt("out_mant%d", g));
+        sim().read_output(strfmt("out_mant%d", g));
     out.exponent[static_cast<std::size_t>(g)] =
-        sim_.read_output(strfmt("out_exp%d", g));
+        sim().read_output(strfmt("out_exp%d", g));
   }
-  out.max_exp = sim_.read_output("max_exp");
+  out.max_exp = sim().read_output("max_exp");
   return out;
 }
 

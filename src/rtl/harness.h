@@ -19,6 +19,12 @@
 // lanes with bit-identical toggle counts, and what keeps forced-write
 // (programming/reset) events out of the compute-energy measurement.
 //
+// Construction elaborates the macro and levelizes it once; the harness owns
+// that SimTopology and lends it to STA and to each simulation engine, and it
+// builds an engine only when one is first asked for.  It remembers every
+// SRAM bit programmed through load_weight*, so an engine built later starts
+// from the same weights.
+//
 // All arithmetic is unsigned (see DESIGN.md on signedness).
 #pragma once
 
@@ -37,15 +43,22 @@ class DcimHarness {
 
   const DcimMacro& macro() const { return macro_; }
 
-  /// The underlying scalar simulator, exposed so measurement passes (energy
-  /// tracing, net probing) can observe a compute_*() run without
-  /// re-implementing the streaming protocol.
-  GateSim& sim() { return sim_; }
+  /// The levelization of macro().netlist that both engines read; STA can
+  /// propagate over it too (run_sta(netlist, topology(), tech)).
+  const SimTopology& topology() const { return topo_; }
 
-  /// The lane-packed simulator backing the batch entry points, built on
-  /// first use (it costs 8 bytes per net) and mirrored with the scalar
-  /// sim's SRAM contents at that moment; later load_weight* calls program
-  /// both engines.
+  /// The scalar simulator behind compute_int/compute_fp, exposed so
+  /// measurement passes (energy tracing, net probing) can observe a
+  /// compute_*() run without re-implementing the streaming protocol.
+  GateSim& sim();
+
+  /// The lane-packed simulator backing the batch entry points (it costs 8
+  /// bytes per net).
+  ///
+  /// Both engines are built on first use and start from the SRAM bits
+  /// load_weight* has programmed so far; later load_weight* calls program
+  /// every engine built.  Bits written directly on one engine's set_sram
+  /// stay with that engine.
   GateSimWide& wide_sim();
 
   /// Program weight @p value (unsigned, < 2^Bw) for (group, row, slot).
@@ -108,7 +121,9 @@ class DcimHarness {
       const std::vector<std::int64_t>& slots) const;
 
   DcimMacro macro_;
-  GateSim sim_;
+  SimTopology topo_;
+  std::vector<std::uint8_t> sram_bits_;  // per SRAM cell, via load_weight*
+  std::unique_ptr<GateSim> sim_;
   std::unique_ptr<GateSimWide> wide_;
 };
 

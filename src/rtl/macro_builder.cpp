@@ -175,6 +175,7 @@ DcimMacro build_dcim_macro(const DesignPoint& dp) {
     }
   }
 
+  nl.shrink_to_fit();
   SEGA_ENSURES(!nl.validate().has_value());
   return macro;
 }

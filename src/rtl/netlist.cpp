@@ -59,77 +59,89 @@ const Port* Netlist::find_port(const std::string& name) const {
   return nullptr;
 }
 
-std::pair<int, int> Netlist::cell_arity(CellKind kind) {
-  switch (kind) {
-    case CellKind::kNor: return {2, 1};
-    case CellKind::kOr: return {2, 1};
-    case CellKind::kInv: return {1, 1};
-    case CellKind::kMux2: return {3, 1};  // {d0, d1, sel}
-    case CellKind::kHa: return {2, 2};    // {a, b} -> {sum, carry}
-    case CellKind::kFa: return {3, 2};    // {a, b, cin} -> {sum, cout}
-    case CellKind::kDff: return {1, 1};   // {d} -> {q}, implicit clock
-    case CellKind::kSram: return {0, 1};  // programmed storage -> {q}
-  }
-  SEGA_ASSERT(false);
-  return {0, 0};
+std::size_t Netlist::add_cell(CellKind kind,
+                              std::initializer_list<NetId> inputs,
+                              std::initializer_list<NetId> outputs) {
+  return add_cell(kind, Span<const NetId>(inputs.begin(), inputs.size()),
+                  Span<const NetId>(outputs.begin(), outputs.size()));
 }
 
-std::size_t Netlist::add_cell(CellKind kind, std::vector<NetId> inputs,
-                              std::vector<NetId> outputs) {
+std::size_t Netlist::add_cell(CellKind kind, Span<const NetId> inputs,
+                              Span<const NetId> outputs) {
   const auto [ni, no] = cell_arity(kind);
   SEGA_EXPECTS(static_cast<int>(inputs.size()) == ni);
   SEGA_EXPECTS(static_cast<int>(outputs.size()) == no);
   for (const NetId n : inputs) SEGA_EXPECTS(n < net_count_);
   for (const NetId n : outputs) SEGA_EXPECTS(n < net_count_);
-  cells_.push_back(RtlCell{kind, std::move(inputs), std::move(outputs)});
-  cell_group_.push_back(active_group_);
-  if (kind == CellKind::kSram) sram_cells_.push_back(cells_.size() - 1);
-  return cells_.size() - 1;
+  // Cell indices travel as NetId-wide integers through the topology.
+  SEGA_EXPECTS(kinds_.size() < kNoNet);
+  const std::size_t index = kinds_.size();
+  kinds_.push_back(static_cast<std::uint8_t>(kind));
+  groups_.push_back(active_group_);
+  NetId slots[kCellPinSlots] = {kNoNet, kNoNet, kNoNet, kNoNet, kNoNet};
+  for (std::size_t i = 0; i < inputs.size(); ++i) slots[i] = inputs[i];
+  for (std::size_t i = 0; i < outputs.size(); ++i) {
+    slots[kFirstOutputSlot + i] = outputs[i];
+  }
+  pins_.insert(pins_.end(), slots, slots + kCellPinSlots);
+  if (kind == CellKind::kSram) sram_cells_.push_back(index);
+  return index;
+}
+
+void Netlist::shrink_to_fit() {
+  kinds_.shrink_to_fit();
+  groups_.shrink_to_fit();
+  pins_.shrink_to_fit();
+  sram_cells_.shrink_to_fit();
 }
 
 int Netlist::set_active_group(const std::string& name) {
   for (std::size_t i = 0; i < group_names_.size(); ++i) {
     if (group_names_[i] == name) {
-      active_group_ = static_cast<int>(i);
+      active_group_ = static_cast<std::uint8_t>(i);
       return active_group_;
     }
   }
+  // Group ids are stored in one byte per cell.
+  SEGA_EXPECTS(group_names_.size() <= 0xFF);
   group_names_.push_back(name);
-  active_group_ = static_cast<int>(group_names_.size()) - 1;
+  active_group_ = static_cast<std::uint8_t>(group_names_.size() - 1);
   return active_group_;
 }
 
 int Netlist::cell_group(std::size_t cell_index) const {
-  SEGA_EXPECTS(cell_index < cell_group_.size());
-  return cell_group_[cell_index];
+  SEGA_EXPECTS(cell_index < groups_.size());
+  return groups_[cell_index];
 }
 
 GateCount Netlist::census_of_group(int group) const {
   GateCount gc;
-  for (std::size_t i = 0; i < cells_.size(); ++i) {
-    if (cell_group_[i] == group) ++gc[cells_[i].kind];
+  for (std::size_t i = 0; i < kinds_.size(); ++i) {
+    if (groups_[i] == group) ++gc[cell_kind(i)];
   }
   return gc;
 }
 
+std::vector<GateCount> Netlist::census_by_group() const {
+  std::vector<GateCount> by_group(group_names_.size());
+  for (std::size_t i = 0; i < kinds_.size(); ++i) {
+    ++by_group[groups_[i]][cell_kind(i)];
+  }
+  return by_group;
+}
+
 GateCount Netlist::census() const {
   GateCount gc;
-  for (const auto& c : cells_) ++gc[c.kind];
+  for (const std::uint8_t kind : kinds_) ++gc[static_cast<CellKind>(kind)];
   return gc;
 }
 
 std::optional<std::string> Netlist::validate() const {
-  std::vector<int> driver_count(net_count_, 0);
-  for (std::size_t ci = 0; ci < cells_.size(); ++ci) {
-    const auto& c = cells_[ci];
-    const auto [ni, no] = cell_arity(c.kind);
-    if (static_cast<int>(c.inputs.size()) != ni ||
-        static_cast<int>(c.outputs.size()) != no) {
-      return strfmt("cell %zu (%s) has wrong arity", ci,
-                    cell_kind_name(c.kind));
-    }
-    for (const NetId n : c.outputs) {
-      if (n >= net_count_) return strfmt("cell %zu drives unknown net", ci);
+  // Arity and pin ranges are enforced by add_cell; what remains are the
+  // whole-netlist properties.
+  std::vector<std::uint8_t> driver_count(net_count_, 0);
+  for (const RtlCell cell : cells()) {
+    for (const NetId n : cell.outputs) {
       if (++driver_count[n] > 1) {
         return strfmt("net %u has multiple drivers", n);
       }

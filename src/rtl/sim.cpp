@@ -1,7 +1,5 @@
 #include "rtl/sim.h"
 
-#include <queue>
-
 namespace sega {
 
 namespace {
@@ -11,6 +9,14 @@ bool is_sequential(CellKind kind) {
 }
 
 int popcount64(std::uint64_t v) { return __builtin_popcountll(v); }
+
+/// First output (Q of a DFF or SRAM bit) and first input (D) of a cell.
+NetId q_of(const Netlist& nl, std::size_t cell) {
+  return nl.cell_pins(cell)[kFirstOutputSlot];
+}
+NetId d_of(const Netlist& nl, std::size_t cell) {
+  return nl.cell_pins(cell)[0];
+}
 
 /// Checks that @p value fits in @p width bits (width <= 64).
 void expect_fits(std::uint64_t value, std::size_t width) {
@@ -33,60 +39,72 @@ double energy_of_counts(const std::array<std::int64_t, kCellKindCount>& counts,
 SimTopology::SimTopology(const Netlist& nl) {
   const auto err = nl.validate();
   SEGA_EXPECTS(!err.has_value());
+  const std::size_t cells = nl.cells().size();
 
-  // Per-net driver kind and component group for energy tracing.
-  net_driver_kind.assign(nl.net_count(), CellKind::kSram);
-  net_has_driver.assign(nl.net_count(), 0);
+  // Per-net driver kind and component group for energy tracing, and each
+  // net's combinational driver cell (if any).
+  constexpr std::uint32_t kNone = kNoNet;
+  net_driver_kind.assign(nl.net_count(), kUndriven);
   net_driver_group.assign(nl.net_count(), 0);
-  for (std::size_t ci = 0; ci < nl.cells().size(); ++ci) {
-    const auto& cell = nl.cells()[ci];
-    for (const NetId out : cell.outputs) {
-      net_driver_kind[out] = cell.kind;
-      net_has_driver[out] = 1;
-      net_driver_group[out] = nl.cell_group(ci);
+  std::vector<std::uint32_t> comb_driver(nl.net_count(), kNone);
+  std::size_t comb_cells = 0;
+  for (std::size_t ci = 0; ci < cells; ++ci) {
+    const CellKind kind = nl.cell_kind(ci);
+    const NetId* pins = nl.cell_pins(ci);
+    const auto group = static_cast<std::uint8_t>(nl.cell_group(ci));
+    const bool sequential = is_sequential(kind);
+    for (int o = 0; o < Netlist::cell_arity(kind).second; ++o) {
+      const NetId out = pins[kFirstOutputSlot + static_cast<std::size_t>(o)];
+      net_driver_kind[out] = static_cast<std::uint8_t>(kind);
+      net_driver_group[out] = group;
+      if (!sequential) comb_driver[out] = static_cast<std::uint32_t>(ci);
     }
+    if (kind == CellKind::kDff) {
+      dff_cells.push_back(static_cast<std::uint32_t>(ci));
+    }
+    if (!sequential) ++comb_cells;
   }
 
-  // Map each net to its combinational driver cell (if any).
-  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
-  std::vector<std::size_t> comb_driver(nl.net_count(), kNone);
-  const auto& cells = nl.cells();
-  for (std::size_t ci = 0; ci < cells.size(); ++ci) {
-    if (is_sequential(cells[ci].kind)) {
-      if (cells[ci].kind == CellKind::kDff) dff_cells.push_back(ci);
-      continue;
-    }
-    for (const NetId out : cells[ci].outputs) comb_driver[out] = ci;
-  }
-
-  // Kahn's algorithm over combinational dependencies.
-  std::vector<int> pending(cells.size(), 0);
-  std::vector<std::vector<std::size_t>> dependents(cells.size());
-  std::queue<std::size_t> ready;
-  for (std::size_t ci = 0; ci < cells.size(); ++ci) {
-    if (is_sequential(cells[ci].kind)) continue;
-    int deps = 0;
-    for (const NetId in : cells[ci].inputs) {
-      const std::size_t drv = comb_driver[in];
-      if (drv != kNone) {
-        ++deps;
-        dependents[drv].push_back(ci);
+  // Dependents of every combinational cell in compressed-row form: one
+  // entry per input pin a combinational driver feeds (a cell fed twice by
+  // the same driver is listed twice), rows in sink-index then pin order.
+  std::vector<std::uint32_t> row(cells + 1, 0);
+  std::vector<std::uint8_t> pending(cells, 0);
+  const auto for_each_comb_input = [&](auto&& visit) {
+    for (std::size_t ci = 0; ci < cells; ++ci) {
+      const CellKind kind = nl.cell_kind(ci);
+      if (is_sequential(kind)) continue;
+      const NetId* pins = nl.cell_pins(ci);
+      for (int i = 0; i < Netlist::cell_arity(kind).first; ++i) {
+        const std::uint32_t drv = comb_driver[pins[i]];
+        if (drv != kNone) visit(drv, static_cast<std::uint32_t>(ci));
       }
     }
-    pending[ci] = deps;
-    if (deps == 0) ready.push(ci);
-  }
-  while (!ready.empty()) {
-    const std::size_t ci = ready.front();
-    ready.pop();
-    eval_order.push_back(ci);
-    for (const std::size_t dep : dependents[ci]) {
-      if (--pending[dep] == 0) ready.push(dep);
+  };
+  for_each_comb_input([&](std::uint32_t drv, std::uint32_t ci) {
+    ++row[drv + 1];
+    ++pending[ci];
+  });
+  for (std::size_t ci = 0; ci < cells; ++ci) row[ci + 1] += row[ci];
+  std::vector<std::uint32_t> dependents(row[cells]);
+  std::vector<std::uint32_t> cursor(row.begin(), row.end() - 1);
+  for_each_comb_input([&](std::uint32_t drv, std::uint32_t ci) {
+    dependents[cursor[drv]++] = ci;
+  });
+
+  // Kahn's algorithm, FIFO: eval_order doubles as the ready queue.
+  eval_order.reserve(comb_cells);
+  for (std::size_t ci = 0; ci < cells; ++ci) {
+    if (!is_sequential(nl.cell_kind(ci)) && pending[ci] == 0) {
+      eval_order.push_back(static_cast<std::uint32_t>(ci));
     }
   }
-  std::size_t comb_cells = 0;
-  for (const auto& c : cells) {
-    if (!is_sequential(c.kind)) ++comb_cells;
+  for (std::size_t head = 0; head < eval_order.size(); ++head) {
+    const std::uint32_t ci = eval_order[head];
+    for (std::uint32_t k = row[ci]; k < row[ci + 1]; ++k) {
+      const std::uint32_t dep = dependents[k];
+      if (--pending[dep] == 0) eval_order.push_back(dep);
+    }
   }
   // A shortfall means a combinational loop.
   SEGA_ENSURES(eval_order.size() == comb_cells);
@@ -96,35 +114,44 @@ SimTopology::SimTopology(const Netlist& nl) {
 
 GateSim::GateSim(const Netlist& nl)
     : nl_(nl),
-      topo_(nl),
+      owned_topo_(std::make_unique<const SimTopology>(nl)),
+      topo_(*owned_topo_),
       values_(nl.net_count(), 0),
       dff_next_(topo_.dff_cells.size(), 0) {}
 
-void GateSim::eval_cell(const RtlCell& c) {
-  auto in = [&](std::size_t i) { return values_[c.inputs[i]] != 0; };
-  switch (c.kind) {
+GateSim::GateSim(const Netlist& nl, const SimTopology& topo)
+    : nl_(nl),
+      topo_(topo),
+      values_(nl.net_count(), 0),
+      dff_next_(topo_.dff_cells.size(), 0) {}
+
+void GateSim::eval_cell(CellKind kind, const NetId* pins) {
+  auto in = [&](std::size_t i) { return values_[pins[i]] != 0; };
+  std::uint8_t* out = values_.data();
+  const NetId q0 = pins[kFirstOutputSlot];
+  switch (kind) {
     case CellKind::kNor:
-      values_[c.outputs[0]] = !(in(0) || in(1));
+      out[q0] = !(in(0) || in(1));
       break;
     case CellKind::kOr:
-      values_[c.outputs[0]] = in(0) || in(1);
+      out[q0] = in(0) || in(1);
       break;
     case CellKind::kInv:
-      values_[c.outputs[0]] = !in(0);
+      out[q0] = !in(0);
       break;
     case CellKind::kMux2:
-      values_[c.outputs[0]] = in(2) ? in(1) : in(0);
+      out[q0] = in(2) ? in(1) : in(0);
       break;
     case CellKind::kHa: {
       const bool a = in(0), b = in(1);
-      values_[c.outputs[0]] = a != b;
-      values_[c.outputs[1]] = a && b;
+      out[q0] = a != b;
+      out[pins[kFirstOutputSlot + 1]] = a && b;
       break;
     }
     case CellKind::kFa: {
       const int s = int{in(0)} + int{in(1)} + int{in(2)};
-      values_[c.outputs[0]] = (s & 1) != 0;
-      values_[c.outputs[1]] = s >= 2;
+      out[q0] = (s & 1) != 0;
+      out[pins[kFirstOutputSlot + 1]] = s >= 2;
       break;
     }
     case CellKind::kDff:
@@ -138,7 +165,9 @@ void GateSim::eval() {
   // Constants are undriven nets pinned every settle.
   if (const auto c0 = nl_.const0_id()) values_[*c0] = 0;
   if (const auto c1 = nl_.const1_id()) values_[*c1] = 1;
-  for (const std::size_t ci : topo_.eval_order) eval_cell(nl_.cells()[ci]);
+  for (const std::uint32_t ci : topo_.eval_order) {
+    eval_cell(nl_.cell_kind(ci), nl_.cell_pins(ci));
+  }
   dirty_ = false;
 }
 
@@ -173,24 +202,24 @@ void GateSim::note_forced_write(NetId n) {
 
 void GateSim::set_sram(std::size_t i, bool value) {
   SEGA_EXPECTS(i < nl_.sram_cells().size());
-  const auto& cell = nl_.cells()[nl_.sram_cells()[i]];
-  values_[cell.outputs[0]] = value ? 1 : 0;
-  note_forced_write(cell.outputs[0]);
+  const NetId q = q_of(nl_, nl_.sram_cells()[i]);
+  values_[q] = value ? 1 : 0;
+  note_forced_write(q);
   dirty_ = true;
 }
 
 void GateSim::set_register(std::size_t cell, bool value) {
   SEGA_EXPECTS(cell < nl_.cells().size());
-  const auto& c = nl_.cells()[cell];
-  SEGA_EXPECTS(c.kind == CellKind::kDff);
-  values_[c.outputs[0]] = value ? 1 : 0;
-  note_forced_write(c.outputs[0]);
+  SEGA_EXPECTS(nl_.cell_kind(cell) == CellKind::kDff);
+  const NetId q = q_of(nl_, cell);
+  values_[q] = value ? 1 : 0;
+  note_forced_write(q);
   dirty_ = true;
 }
 
 void GateSim::clear_registers() {
-  for (const std::size_t ci : topo_.dff_cells) {
-    const NetId q = nl_.cells()[ci].outputs[0];
+  for (const std::uint32_t ci : topo_.dff_cells) {
+    const NetId q = q_of(nl_, ci);
     values_[q] = 0;
     note_forced_write(q);
   }
@@ -202,10 +231,10 @@ void GateSim::step() {
   if (tracing_) record_toggles();
   // Two-phase DFF update: sample all D inputs, then commit.
   for (std::size_t i = 0; i < topo_.dff_cells.size(); ++i) {
-    dff_next_[i] = values_[nl_.cells()[topo_.dff_cells[i]].inputs[0]];
+    dff_next_[i] = values_[d_of(nl_, topo_.dff_cells[i])];
   }
   for (std::size_t i = 0; i < topo_.dff_cells.size(); ++i) {
-    values_[nl_.cells()[topo_.dff_cells[i]].outputs[0]] = dff_next_[i];
+    values_[q_of(nl_, topo_.dff_cells[i])] = dff_next_[i];
   }
   dirty_ = true;
 }
@@ -229,9 +258,9 @@ void GateSim::record_toggles() {
   // Called on a settled state just before the clock edge: one cycle's
   // steady-state transitions relative to the previous settled state.
   for (std::size_t n = 0; n < values_.size(); ++n) {
-    if (!topo_.net_has_driver[n]) continue;  // ports/constants cost nothing
+    const std::uint8_t kind = topo_.net_driver_kind[n];
+    if (kind == SimTopology::kUndriven) continue;  // ports/constants are free
     if (values_[n] != trace_prev_[n]) {
-      const auto kind = static_cast<std::size_t>(topo_.net_driver_kind[n]);
       ++toggles_[kind];
       ++toggles_by_group_[static_cast<std::size_t>(topo_.net_driver_group[n])]
                          [kind];
@@ -265,7 +294,14 @@ bool GateSim::net_value(NetId n) {
 
 GateSimWide::GateSimWide(const Netlist& nl)
     : nl_(nl),
-      topo_(nl),
+      owned_topo_(std::make_unique<const SimTopology>(nl)),
+      topo_(*owned_topo_),
+      values_(nl.net_count(), 0),
+      dff_next_(topo_.dff_cells.size(), 0) {}
+
+GateSimWide::GateSimWide(const Netlist& nl, const SimTopology& topo)
+    : nl_(nl),
+      topo_(topo),
       values_(nl.net_count(), 0),
       dff_next_(topo_.dff_cells.size(), 0) {}
 
@@ -276,34 +312,36 @@ void GateSimWide::set_active_lanes(int lanes) {
                                : (std::uint64_t{1} << lanes) - 1;
 }
 
-void GateSimWide::eval_cell(const RtlCell& c) {
-  auto in = [&](std::size_t i) { return values_[c.inputs[i]]; };
-  switch (c.kind) {
+void GateSimWide::eval_cell(CellKind kind, const NetId* pins) {
+  auto in = [&](std::size_t i) { return values_[pins[i]]; };
+  std::uint64_t* out = values_.data();
+  const NetId q0 = pins[kFirstOutputSlot];
+  switch (kind) {
     case CellKind::kNor:
-      values_[c.outputs[0]] = ~(in(0) | in(1));
+      out[q0] = ~(in(0) | in(1));
       break;
     case CellKind::kOr:
-      values_[c.outputs[0]] = in(0) | in(1);
+      out[q0] = in(0) | in(1);
       break;
     case CellKind::kInv:
-      values_[c.outputs[0]] = ~in(0);
+      out[q0] = ~in(0);
       break;
     case CellKind::kMux2: {
       const std::uint64_t sel = in(2);
-      values_[c.outputs[0]] = (sel & in(1)) | (~sel & in(0));
+      out[q0] = (sel & in(1)) | (~sel & in(0));
       break;
     }
     case CellKind::kHa: {
       const std::uint64_t a = in(0), b = in(1);
-      values_[c.outputs[0]] = a ^ b;
-      values_[c.outputs[1]] = a & b;
+      out[q0] = a ^ b;
+      out[pins[kFirstOutputSlot + 1]] = a & b;
       break;
     }
     case CellKind::kFa: {
       const std::uint64_t a = in(0), b = in(1), cin = in(2);
       const std::uint64_t axb = a ^ b;
-      values_[c.outputs[0]] = axb ^ cin;
-      values_[c.outputs[1]] = (a & b) | (cin & axb);  // lane-wise majority
+      out[q0] = axb ^ cin;
+      out[pins[kFirstOutputSlot + 1]] = (a & b) | (cin & axb);  // majority
       break;
     }
     case CellKind::kDff:
@@ -316,7 +354,9 @@ void GateSimWide::eval() {
   if (!dirty_) return;
   if (const auto c0 = nl_.const0_id()) values_[*c0] = 0;
   if (const auto c1 = nl_.const1_id()) values_[*c1] = ~std::uint64_t{0};
-  for (const std::size_t ci : topo_.eval_order) eval_cell(nl_.cells()[ci]);
+  for (const std::uint32_t ci : topo_.eval_order) {
+    eval_cell(nl_.cell_kind(ci), nl_.cell_pins(ci));
+  }
   dirty_ = false;
 }
 
@@ -361,24 +401,24 @@ void GateSimWide::note_forced_write(NetId n) {
 
 void GateSimWide::set_sram(std::size_t i, bool value) {
   SEGA_EXPECTS(i < nl_.sram_cells().size());
-  const auto& cell = nl_.cells()[nl_.sram_cells()[i]];
-  values_[cell.outputs[0]] = value ? ~std::uint64_t{0} : 0;
-  note_forced_write(cell.outputs[0]);
+  const NetId q = q_of(nl_, nl_.sram_cells()[i]);
+  values_[q] = value ? ~std::uint64_t{0} : 0;
+  note_forced_write(q);
   dirty_ = true;
 }
 
 void GateSimWide::set_register(std::size_t cell, bool value) {
   SEGA_EXPECTS(cell < nl_.cells().size());
-  const auto& c = nl_.cells()[cell];
-  SEGA_EXPECTS(c.kind == CellKind::kDff);
-  values_[c.outputs[0]] = value ? ~std::uint64_t{0} : 0;
-  note_forced_write(c.outputs[0]);
+  SEGA_EXPECTS(nl_.cell_kind(cell) == CellKind::kDff);
+  const NetId q = q_of(nl_, cell);
+  values_[q] = value ? ~std::uint64_t{0} : 0;
+  note_forced_write(q);
   dirty_ = true;
 }
 
 void GateSimWide::clear_registers() {
-  for (const std::size_t ci : topo_.dff_cells) {
-    const NetId q = nl_.cells()[ci].outputs[0];
+  for (const std::uint32_t ci : topo_.dff_cells) {
+    const NetId q = q_of(nl_, ci);
     values_[q] = 0;
     note_forced_write(q);
   }
@@ -389,10 +429,10 @@ void GateSimWide::step() {
   eval();
   if (tracing_) record_toggles();
   for (std::size_t i = 0; i < topo_.dff_cells.size(); ++i) {
-    dff_next_[i] = values_[nl_.cells()[topo_.dff_cells[i]].inputs[0]];
+    dff_next_[i] = values_[d_of(nl_, topo_.dff_cells[i])];
   }
   for (std::size_t i = 0; i < topo_.dff_cells.size(); ++i) {
-    values_[nl_.cells()[topo_.dff_cells[i]].outputs[0]] = dff_next_[i];
+    values_[q_of(nl_, topo_.dff_cells[i])] = dff_next_[i];
   }
   dirty_ = true;
 }
@@ -418,11 +458,11 @@ void GateSimWide::record_toggles() {
   // popcount bills them all in one step — the structural ~64x over the
   // scalar per-net comparison.
   for (std::size_t n = 0; n < values_.size(); ++n) {
-    if (!topo_.net_has_driver[n]) continue;
+    const std::uint8_t kind = topo_.net_driver_kind[n];
+    if (kind == SimTopology::kUndriven) continue;
     const std::uint64_t diff = (values_[n] ^ trace_prev_[n]) & lane_mask_;
     if (diff != 0) {
       const int events = popcount64(diff);
-      const auto kind = static_cast<std::size_t>(topo_.net_driver_kind[n]);
       toggles_[kind] += events;
       toggles_by_group_[static_cast<std::size_t>(topo_.net_driver_group[n])]
                        [kind] += events;

@@ -1,6 +1,9 @@
 // Levelized gate-level simulators for sega::Netlist.
 //
-// Two engines share one topological structure (SimTopology):
+// Two engines share one topological structure (SimTopology), which static
+// timing analysis (rtl/sta.h) reads as well.  An engine either builds its
+// own or borrows one that outlives it; DcimHarness levelizes each netlist
+// once and lends that topology to whichever engines it builds.
 //
 //  * GateSim — the scalar reference: one byte per net, one workload vector
 //    per settle pass.  This is the verification back-end that proves the
@@ -40,6 +43,7 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -49,17 +53,22 @@
 namespace sega {
 
 /// Topological evaluation structure shared by the scalar and lane-packed
-/// engines: validates the netlist, levelizes the combinational cells with
-/// Kahn's algorithm (aborts on loops), and records per-net driver metadata
-/// for energy attribution.
+/// engines and by STA: validates the netlist, levelizes the combinational
+/// cells with Kahn's algorithm over a compressed dependents table (aborts on
+/// loops), and records per-net driver metadata for energy attribution.
+/// Immutable once built, so any number of engines may read it at once.
 struct SimTopology {
+  /// net_driver_kind of a net no cell drives (ports, constants).
+  static constexpr std::uint8_t kUndriven = 0xFF;
+
   explicit SimTopology(const Netlist& nl);
 
-  std::vector<std::size_t> eval_order;     ///< combinational cell indices
-  std::vector<std::size_t> dff_cells;      ///< DFF cell indices
-  std::vector<CellKind> net_driver_kind;   ///< per net; kSram when undriven
-  std::vector<std::uint8_t> net_has_driver;
-  std::vector<int> net_driver_group;       ///< per net; 0 ("core") undriven
+  std::vector<std::uint32_t> eval_order;       ///< combinational cells
+  std::vector<std::uint32_t> dff_cells;        ///< DFF cells, ascending
+  std::vector<std::uint8_t> net_driver_kind;   ///< per net: CellKind, or
+                                               ///< kUndriven
+  std::vector<std::uint8_t> net_driver_group;  ///< per net; 0 ("core")
+                                               ///< when undriven
 };
 
 class GateSim {
@@ -67,6 +76,8 @@ class GateSim {
   /// Builds evaluation order; aborts (contract violation) on malformed
   /// netlists or combinational loops.
   explicit GateSim(const Netlist& nl);
+  /// Borrows @p topo, which must be @p nl's and outlive the engine.
+  GateSim(const Netlist& nl, const SimTopology& topo);
 
   /// Drive an input port with an unsigned value (width <= 64).  Bits above
   /// the port width must be zero: value >> width == 0.
@@ -131,7 +142,8 @@ class GateSim {
 
  private:
   const Netlist& nl_;
-  SimTopology topo_;
+  std::unique_ptr<const SimTopology> owned_topo_;  // null when borrowed
+  const SimTopology& topo_;
   std::vector<std::uint8_t> values_;       // per net
   std::vector<std::uint8_t> dff_next_;     // step() scratch, hoisted out of
                                            // the clock loop
@@ -145,7 +157,7 @@ class GateSim {
   std::vector<std::array<std::int64_t, kCellKindCount>> toggles_by_group_;
   std::int64_t traced_cycles_ = 0;
 
-  void eval_cell(const RtlCell& c);
+  void eval_cell(CellKind kind, const NetId* pins);
   void record_toggles();
   void note_forced_write(NetId n);
 };
@@ -161,6 +173,8 @@ class GateSimWide {
   static constexpr int kLanes = 64;
 
   explicit GateSimWide(const Netlist& nl);
+  /// Borrows @p topo, which must be @p nl's and outlive the engine.
+  GateSimWide(const Netlist& nl, const SimTopology& topo);
 
   /// Lanes [0, lanes) are live: billed by the energy trace and meaningful
   /// to read.  Lanes >= lanes still simulate (bitwise ops are lane-blind)
@@ -208,7 +222,8 @@ class GateSimWide {
 
  private:
   const Netlist& nl_;
-  SimTopology topo_;
+  std::unique_ptr<const SimTopology> owned_topo_;  // null when borrowed
+  const SimTopology& topo_;
   std::vector<std::uint64_t> values_;      // per net, one bit per lane
   std::vector<std::uint64_t> dff_next_;    // step() scratch
   int active_lanes_ = kLanes;
@@ -221,7 +236,7 @@ class GateSimWide {
   std::vector<std::array<std::int64_t, kCellKindCount>> toggles_by_group_;
   std::int64_t traced_cycles_ = 0;
 
-  void eval_cell(const RtlCell& c);
+  void eval_cell(CellKind kind, const NetId* pins);
   void record_toggles();
   void note_forced_write(NetId n);
 };

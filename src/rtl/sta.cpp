@@ -1,7 +1,7 @@
 #include "rtl/sta.h"
 
 #include <algorithm>
-#include <queue>
+#include <cstdint>
 
 #include "util/assert.h"
 
@@ -12,104 +12,71 @@ double StaResult::arrival(NetId net) const {
   return arrivals_[net];
 }
 
-namespace {
-
-bool is_sequential(CellKind kind) {
-  return kind == CellKind::kDff || kind == CellKind::kSram;
+StaResult run_sta(const Netlist& nl, const Technology& tech) {
+  return run_sta(nl, SimTopology(nl), tech);
 }
 
-}  // namespace
-
-StaResult run_sta(const Netlist& nl, const Technology& tech) {
-  SEGA_EXPECTS(!nl.validate().has_value());
-  const auto& cells = nl.cells();
-
-  // Levelize (same topology construction as GateSim).
-  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
-  std::vector<std::size_t> comb_driver(nl.net_count(), kNone);
-  for (std::size_t ci = 0; ci < cells.size(); ++ci) {
-    if (is_sequential(cells[ci].kind)) continue;
-    for (const NetId out : cells[ci].outputs) comb_driver[out] = ci;
-  }
-  std::vector<int> pending(cells.size(), 0);
-  std::vector<std::vector<std::size_t>> dependents(cells.size());
-  std::queue<std::size_t> ready;
-  std::size_t comb_total = 0;
-  for (std::size_t ci = 0; ci < cells.size(); ++ci) {
-    if (is_sequential(cells[ci].kind)) continue;
-    ++comb_total;
-    int deps = 0;
-    for (const NetId in : cells[ci].inputs) {
-      if (comb_driver[in] != kNone) {
-        ++deps;
-        dependents[comb_driver[in]].push_back(ci);
-      }
-    }
-    pending[ci] = deps;
-    if (deps == 0) ready.push(ci);
-  }
-
+StaResult run_sta(const Netlist& nl, const SimTopology& topo,
+                  const Technology& tech) {
+  SEGA_EXPECTS(topo.net_driver_kind.size() == nl.net_count());
   StaResult result;
   result.arrivals_.assign(nl.net_count(), 0.0);
-  // Track, per net, the cell whose output set its arrival (for path
-  // recovery); kNone for launch points.
-  std::vector<std::size_t> via(nl.net_count(), kNone);
+  if (nl.net_count() == 0) return result;  // no net, no path
+  double* arrival = result.arrivals_.data();
+  // Per net, the cell whose output set its arrival (for path recovery);
+  // kNone for launch points.
+  constexpr std::uint32_t kNone = 0xFFFFFFFFu;
+  std::vector<std::uint32_t> via(nl.net_count(), kNone);
 
-  std::size_t processed = 0;
-  while (!ready.empty()) {
-    const std::size_t ci = ready.front();
-    ready.pop();
-    ++processed;
-    const RtlCell& cell = cells[ci];
+  for (const std::uint32_t ci : topo.eval_order) {
+    const CellKind kind = nl.cell_kind(ci);
+    const NetId* pins = nl.cell_pins(ci);
+    const auto [ni, no] = Netlist::cell_arity(kind);
     double in_arrival = 0.0;
-    for (const NetId in : cell.inputs) {
-      in_arrival = std::max(in_arrival, result.arrivals_[in]);
+    for (int i = 0; i < ni; ++i) {
+      in_arrival = std::max(in_arrival, arrival[pins[i]]);
     }
-    const double out_arrival = in_arrival + tech.cell(cell.kind).delay;
-    for (const NetId out : cell.outputs) {
-      result.arrivals_[out] = out_arrival;
+    const double out_arrival = in_arrival + tech.cell(kind).delay;
+    for (int o = 0; o < no; ++o) {
+      const NetId out = pins[kFirstOutputSlot + static_cast<std::size_t>(o)];
+      arrival[out] = out_arrival;
       via[out] = ci;
     }
-    for (const std::size_t dep : dependents[ci]) {
-      if (--pending[dep] == 0) ready.push(dep);
-    }
   }
-  SEGA_ENSURES(processed == comb_total);  // loop-free
 
   // Critical endpoint = max arrival over all nets.
   NetId worst_net = 0;
   for (NetId n = 0; n < result.arrivals_.size(); ++n) {
-    if (result.arrivals_[n] > result.arrivals_[worst_net]) worst_net = n;
+    if (arrival[n] > arrival[worst_net]) worst_net = n;
   }
-  result.critical_.arrival = result.arrivals_[worst_net];
+  result.critical_.arrival = arrival[worst_net];
   result.critical_.endpoint = worst_net;
   // Recover the path by walking back through worst-input edges.
   std::vector<std::size_t> rev;
   NetId cursor = worst_net;
   while (via[cursor] != kNone) {
-    const std::size_t ci = via[cursor];
+    const std::uint32_t ci = via[cursor];
     rev.push_back(ci);
-    const RtlCell& cell = cells[ci];
-    if (cell.inputs.empty()) break;
-    NetId next = cell.inputs[0];
-    for (const NetId in : cell.inputs) {
-      if (result.arrivals_[in] > result.arrivals_[next]) next = in;
+    const int ni = Netlist::cell_arity(nl.cell_kind(ci)).first;
+    if (ni == 0) break;
+    const NetId* pins = nl.cell_pins(ci);
+    NetId next = pins[0];
+    for (int i = 0; i < ni; ++i) {
+      if (arrival[pins[i]] > arrival[next]) next = pins[i];
     }
     cursor = next;
   }
   result.critical_.cells.assign(rev.rbegin(), rev.rend());
 
   // Register setup and primary-output views.
-  for (const auto& cell : cells) {
-    if (cell.kind != CellKind::kDff) continue;
-    result.worst_register_setup_ = std::max(
-        result.worst_register_setup_, result.arrivals_[cell.inputs[0]]);
+  for (const std::uint32_t ci : topo.dff_cells) {
+    result.worst_register_setup_ =
+        std::max(result.worst_register_setup_, arrival[nl.cell_pins(ci)[0]]);
   }
   for (const auto& port : nl.ports()) {
     if (port.dir != PortDir::kOutput) continue;
     for (const NetId n : port.nets) {
-      result.worst_output_ =
-          std::max(result.worst_output_, result.arrivals_[n]);
+      result.worst_output_ = std::max(result.worst_output_, arrival[n]);
     }
   }
   return result;

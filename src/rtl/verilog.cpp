@@ -98,7 +98,7 @@ std::string write_verilog(const Netlist& nl,
   // Cell instances.
   std::size_t uid = 0;
   std::size_t sram_seq = 0;
-  for (const auto& c : nl.cells()) {
+  for (const RtlCell c : nl.cells()) {
     const auto nn = [&](NetId n) { return net_name(nl, n); };
     switch (c.kind) {
       case CellKind::kNor:

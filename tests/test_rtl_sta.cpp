@@ -5,6 +5,7 @@
 #include "cost/components.h"
 #include "cost/macro_model.h"
 #include "rtl/builders.h"
+#include "rtl/harness.h"
 #include "rtl/macro_builder.h"
 #include "util/math.h"
 
@@ -173,8 +174,8 @@ TEST_F(StaTest, CriticalPathIsConnected) {
   ASSERT_FALSE(path.empty());
   // Each step's output feeds the next step's input.
   for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-    const auto& prev = nl.cells()[path[i]];
-    const auto& next = nl.cells()[path[i + 1]];
+    const RtlCell prev = nl.cells()[path[i]];
+    const RtlCell next = nl.cells()[path[i + 1]];
     bool connected = false;
     for (const NetId out : prev.outputs) {
       for (const NetId in : next.inputs) {
@@ -183,6 +184,38 @@ TEST_F(StaTest, CriticalPathIsConnected) {
     }
     EXPECT_TRUE(connected) << "path break at step " << i;
   }
+}
+
+TEST_F(StaTest, EmptyNetlistHasNoCriticalPath) {
+  Netlist nl("empty");
+  const StaResult sta = run_sta(nl, tech);
+  EXPECT_EQ(sta.critical_delay(), 0.0);
+  EXPECT_EQ(sta.critical_path().endpoint, kNoNet);
+  EXPECT_TRUE(sta.critical_path().cells.empty());
+  EXPECT_EQ(sta.worst_register_setup(), 0.0);
+  EXPECT_EQ(sta.worst_output(), 0.0);
+}
+
+TEST_F(StaTest, HarnessTopologyTimesLikeAFreshLevelization) {
+  // RtlCostModel propagates over the topology its harness already built;
+  // that must time the macro exactly like run_sta's own levelization.
+  DesignPoint dp;
+  dp.precision = *precision_from_name("INT8");
+  dp.arch = ArchKind::kMulCim;
+  dp.n = 32;
+  dp.h = 8;
+  dp.l = 2;
+  dp.k = 4;
+  dp.pipelined_tree = true;
+  const DcimHarness harness(dp);
+  const Netlist& nl = harness.macro().netlist;
+  const StaResult fresh = run_sta(nl, tech);
+  const StaResult borrowed = run_sta(nl, harness.topology(), tech);
+  EXPECT_EQ(borrowed.critical_delay(), fresh.critical_delay());
+  EXPECT_EQ(borrowed.critical_path().endpoint, fresh.critical_path().endpoint);
+  EXPECT_EQ(borrowed.critical_path().cells, fresh.critical_path().cells);
+  EXPECT_EQ(borrowed.worst_register_setup(), fresh.worst_register_setup());
+  EXPECT_EQ(borrowed.worst_output(), fresh.worst_output());
 }
 
 }  // namespace
