@@ -175,7 +175,6 @@ DcimMacro build_dcim_macro(const DesignPoint& dp) {
     }
   }
 
-  nl.shrink_to_fit();
   SEGA_ENSURES(!nl.validate().has_value());
   return macro;
 }

@@ -88,13 +88,6 @@ std::size_t Netlist::add_cell(CellKind kind, Span<const NetId> inputs,
   return index;
 }
 
-void Netlist::shrink_to_fit() {
-  kinds_.shrink_to_fit();
-  groups_.shrink_to_fit();
-  pins_.shrink_to_fit();
-  sram_cells_.shrink_to_fit();
-}
-
 int Netlist::set_active_group(const std::string& name) {
   for (std::size_t i = 0; i < group_names_.size(); ++i) {
     if (group_names_[i] == name) {

@@ -185,10 +185,6 @@ class Netlist {
     return {0, 0};
   }
 
-  /// Release the spare capacity growth left in the cell arrays; the
-  /// generators call it once a netlist is complete.
-  void shrink_to_fit();
-
  private:
   std::string name_;
   std::size_t net_count_ = 0;
