@@ -336,11 +336,8 @@ DesignPoint fp8_point() {
 
 /// Streams @p n_ops random INT operands through the scalar protocol and the
 /// lane-packed batches (split into <=64-lane blocks), asserting outputs and
-/// traced activity bit-equal.  The harness builds each engine on first use;
-/// @p wide_first builds the lane-packed one first, and either way both must
-/// start from the weights loaded beforehand.
-void check_int_batch(const DesignPoint& dp, std::uint64_t seed, int n_ops,
-                     bool wide_first = false) {
+/// traced activity bit-equal.
+void check_int_batch(const DesignPoint& dp, std::uint64_t seed, int n_ops) {
   const Technology tech = Technology::tsmc28();
   DcimHarness harness(dp);
   Rng rng(seed);
@@ -370,37 +367,27 @@ void check_int_batch(const DesignPoint& dp, std::uint64_t seed, int n_ops,
     slots[static_cast<std::size_t>(op)] = op % dp.l;
   }
 
+  GateSim& scalar = harness.sim();
+  scalar.begin_energy_trace();
   std::vector<std::vector<std::uint64_t>> scalar_out;
-  const auto run_scalar = [&] {
-    harness.sim().begin_energy_trace();
-    for (int op = 0; op < n_ops; ++op) {
-      scalar_out.push_back(
-          harness.compute_int(operands[static_cast<std::size_t>(op)],
-                              slots[static_cast<std::size_t>(op)]));
-    }
-  };
-  std::vector<std::vector<std::uint64_t>> wide_out;
-  const auto run_wide = [&] {
-    harness.wide_sim().begin_energy_trace();
-    for (int base = 0; base < n_ops; base += GateSimWide::kLanes) {
-      const int lanes = std::min(GateSimWide::kLanes, n_ops - base);
-      const std::vector<std::vector<std::uint64_t>> block(
-          operands.begin() + base, operands.begin() + base + lanes);
-      const std::vector<std::int64_t> block_slots(
-          slots.begin() + base, slots.begin() + base + lanes);
-      auto results = harness.compute_int_batch(block, block_slots);
-      for (auto& r : results) wide_out.push_back(std::move(r));
-    }
-  };
-  if (wide_first) {
-    run_wide();
-    run_scalar();
-  } else {
-    run_scalar();
-    run_wide();
+  for (int op = 0; op < n_ops; ++op) {
+    scalar_out.push_back(
+        harness.compute_int(operands[static_cast<std::size_t>(op)],
+                            slots[static_cast<std::size_t>(op)]));
   }
-  const GateSim& scalar = harness.sim();
-  const GateSimWide& wide = harness.wide_sim();
+
+  GateSimWide& wide = harness.wide_sim();
+  wide.begin_energy_trace();
+  std::vector<std::vector<std::uint64_t>> wide_out;
+  for (int base = 0; base < n_ops; base += GateSimWide::kLanes) {
+    const int lanes = std::min(GateSimWide::kLanes, n_ops - base);
+    const std::vector<std::vector<std::uint64_t>> block(
+        operands.begin() + base, operands.begin() + base + lanes);
+    const std::vector<std::int64_t> block_slots(
+        slots.begin() + base, slots.begin() + base + lanes);
+    auto results = harness.compute_int_batch(block, block_slots);
+    for (auto& r : results) wide_out.push_back(std::move(r));
+  }
 
   ASSERT_EQ(wide_out.size(), scalar_out.size());
   for (int op = 0; op < n_ops; ++op) {
@@ -428,10 +415,6 @@ TEST(DcimHarnessBatchTest, IntBatchMatchesScalarProtocol) {
   check_int_batch(int4_point(), 12, 7);
   check_int_batch(int4_point(), 13, 64);
   check_int_batch(int4_point(), 14, 65);
-}
-
-TEST(DcimHarnessBatchTest, WideEngineBuiltFirstSeesTheLoadedWeights) {
-  check_int_batch(int4_point(), 15, 64, /*wide_first=*/true);
 }
 
 TEST(DcimHarnessBatchTest, PipelinedTreeBatchMatchesScalarProtocol) {

@@ -174,8 +174,8 @@ TEST_F(StaTest, CriticalPathIsConnected) {
   ASSERT_FALSE(path.empty());
   // Each step's output feeds the next step's input.
   for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-    const RtlCell prev = nl.cells()[path[i]];
-    const RtlCell next = nl.cells()[path[i + 1]];
+    const auto& prev = nl.cells()[path[i]];
+    const auto& next = nl.cells()[path[i + 1]];
     bool connected = false;
     for (const NetId out : prev.outputs) {
       for (const NetId in : next.inputs) {
