@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
+#include "cost/cost_cache.h"
 #include "cost/macro_model.h"
 #include "dse/explorer.h"
+#include "util/strings.h"
 
 namespace sega {
 namespace {
@@ -84,6 +87,56 @@ TEST(Nsga2Test, TracksEvaluationStats) {
   // bounded by initial population + offspring, and at least the population.
   EXPECT_GE(stats.evaluations, 16);
   EXPECT_LE(stats.evaluations, 16 * 11);
+}
+
+// Front-quality contract (recall gate): on the default 48-cell sweep grid at
+// seed 1, the share of each cell's exact front (explore_exhaustive) that the
+// default NSGA-II run finds.  The explorer is deterministic, so these are
+// exact figures, not samples; the floors are the values measured when the
+// gate was added.  A DSE change that loses front points fails here.
+TEST(Nsga2RecallTest, DefaultGridRecallHoldsItsFloors) {
+  constexpr double kMeanFloor = 0.9752;
+  constexpr double kMinFloor = 0.8897;
+  const Technology tech = Technology::tsmc28();
+  CostCache cache(tech, EvalConditions{});
+  Nsga2Options opt;
+  opt.seed = 1;
+  double sum = 0.0;
+  double worst = 1.0;
+  std::string worst_cell;
+  int cells = 0;
+  for (const std::int64_t wstore :
+       {4096, 8192, 16384, 32768, 65536, 131072}) {
+    for (const Precision& precision : all_precisions()) {
+      const DesignSpace space(wstore, precision);
+      const auto exact = explore_exhaustive(space, tech);
+      const auto found = explore_nsga2(space, cache, opt);
+      ASSERT_FALSE(exact.empty());
+      std::size_t hit = 0;
+      for (const auto& e : exact) {
+        hit += std::any_of(found.begin(), found.end(),
+                           [&](const EvaluatedDesign& f) {
+                             return f.point == e.point;
+                           });
+      }
+      const double recall =
+          static_cast<double>(hit) / static_cast<double>(exact.size());
+      sum += recall;
+      ++cells;
+      if (recall < worst) {
+        worst = recall;
+        worst_cell = strfmt("%s at %lld", precision.name.c_str(),
+                            static_cast<long long>(wstore));
+      }
+    }
+  }
+  ASSERT_EQ(cells, 48);
+  const double mean = sum / cells;
+  EXPECT_GE(mean, kMeanFloor) << strfmt("mean recall %.6f", mean);
+  EXPECT_GE(worst, kMinFloor)
+      << strfmt("min recall %.6f (%s)", worst, worst_cell.c_str());
+  std::printf("recall over the default grid: mean %.6f, min %.6f (%s)\n",
+              mean, worst, worst_cell.c_str());
 }
 
 // The key quality bar: on every paper precision at 64K weights, NSGA-II must
