@@ -32,6 +32,19 @@ std::vector<EvaluatedDesign> evaluate_points(
   return evaluated;
 }
 
+/// Indices of the non-dominated designs among @p designs, ascending.
+std::vector<std::size_t> non_dominated_designs(
+    const std::vector<EvaluatedDesign>& designs) {
+  std::vector<double> rows;
+  std::size_t cols = 0;
+  for (const EvaluatedDesign& ed : designs) {
+    const auto o = ed.metrics.objectives();
+    cols = o.size();
+    rows.insert(rows.end(), o.begin(), o.end());
+  }
+  return non_dominated_indices(ObjectiveRows(rows.data(), designs.size(), cols));
+}
+
 /// Batch objective adapter over a memoizing cache.
 BatchObjectiveFn batch_objective(CostCache& cache) {
   return [&cache](Span<const DesignPoint> points, Span<Objectives> out) {
@@ -59,7 +72,7 @@ EvaluatedDesign evaluate_design(const Technology& tech, const DesignPoint& dp,
 void sort_by_objectives(std::vector<EvaluatedDesign>* designs) {
   std::sort(designs->begin(), designs->end(),
             [](const EvaluatedDesign& a, const EvaluatedDesign& b) {
-              return a.objectives() < b.objectives();
+              return a.metrics.objectives() < b.metrics.objectives();
             });
 }
 
@@ -96,10 +109,7 @@ std::vector<EvaluatedDesign> explore_exhaustive(const DesignSpace& space,
                                                 const EvalConditions& cond) {
   const AnalyticCostModel model(tech, cond);
   const auto evaluated = evaluate_points(model, space.enumerate_all());
-  std::vector<Objectives> objs;
-  objs.reserve(evaluated.size());
-  for (const auto& ed : evaluated) objs.push_back(ed.objectives());
-  const auto keep = non_dominated_indices(objs);
+  const auto keep = non_dominated_designs(evaluated);
   std::vector<EvaluatedDesign> front;
   front.reserve(keep.size());
   for (const std::size_t i : keep) front.push_back(evaluated[i]);
@@ -124,10 +134,7 @@ std::vector<EvaluatedDesign> explore_random(const DesignSpace& space,
   }
   const AnalyticCostModel model(tech, cond);
   const auto evaluated = evaluate_points(model, points);
-  std::vector<Objectives> objs;
-  objs.reserve(evaluated.size());
-  for (const auto& ed : evaluated) objs.push_back(ed.objectives());
-  const auto keep = non_dominated_indices(objs);
+  const auto keep = non_dominated_designs(evaluated);
   std::vector<EvaluatedDesign> front;
   for (const std::size_t i : keep) front.push_back(evaluated[i]);
   // Random sampling can hit the same point repeatedly; dedupe.
@@ -174,10 +181,7 @@ std::vector<EvaluatedDesign> explore_multi_precision(
   }
   // Cross-precision non-dominated filter: the objectives are in common
   // physical units, so INT and FP candidates compete directly.
-  std::vector<Objectives> objs;
-  objs.reserve(pool.size());
-  for (const auto& ed : pool) objs.push_back(ed.objectives());
-  const auto keep = non_dominated_indices(objs);
+  const auto keep = non_dominated_designs(pool);
   std::vector<EvaluatedDesign> merged;
   merged.reserve(keep.size());
   for (const std::size_t i : keep) merged.push_back(pool[i]);

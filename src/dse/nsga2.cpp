@@ -1,10 +1,8 @@
 #include "dse/nsga2.h"
 
 #include <algorithm>
-#include <map>
 #include <memory>
-#include <set>
-#include <tuple>
+#include <numeric>
 
 #include "util/assert.h"
 #include "util/threadpool.h"
@@ -17,16 +15,50 @@ struct Genome {
   int n_exp = 0;
   int h_exp = 0;
   std::int64_t k = 1;
-
-  auto key() const { return std::tie(n_exp, h_exp, k); }
-  bool operator<(const Genome& other) const { return key() < other.key(); }
-  bool operator==(const Genome& other) const { return key() == other.key(); }
 };
 
+/// Dense genome ids over a space's genome box:
+///   id = ((n_exp - min_n_exp) * h_span + (h_exp - min_h_exp)) * max_k
+///        + (k - 1).
+/// The id is lexicographic in (n_exp, h_exp, k), so walking ids upwards
+/// visits genomes in that order.  Only in-range genomes have an id; the run
+/// only asks for the ids of decoded genomes, which are in range.
+class GenomeIds {
+ public:
+  explicit GenomeIds(const DesignSpace& space)
+      : min_n_exp_(space.min_n_exp()),
+        min_h_exp_(space.min_h_exp()),
+        h_span_(static_cast<std::size_t>(space.max_h_exp() -
+                                         space.min_h_exp() + 1)),
+        max_k_(static_cast<std::size_t>(space.max_k())),
+        count_(static_cast<std::size_t>(space.max_n_exp() - min_n_exp_ + 1) *
+               h_span_ * max_k_) {}
+
+  std::size_t count() const { return count_; }
+
+  std::size_t of(const Genome& g) const {
+    const std::size_t id =
+        (static_cast<std::size_t>(g.n_exp - min_n_exp_) * h_span_ +
+         static_cast<std::size_t>(g.h_exp - min_h_exp_)) *
+            max_k_ +
+        static_cast<std::size_t>(g.k - 1);
+    SEGA_EXPECTS(id < count_);
+    return id;
+  }
+
+ private:
+  int min_n_exp_;
+  int min_h_exp_;
+  std::size_t h_span_;
+  std::size_t max_k_;
+  std::size_t count_;
+};
+
+/// A population member: its genome, its archive slot (which holds its
+/// decoded point and objective row) and its NSGA-II rank and crowding.
 struct Individual {
   Genome genome;
-  DesignPoint point;
-  Objectives objectives;
+  std::size_t slot = 0;
   int rank = 0;
   double crowding = 0.0;
 };
@@ -67,7 +99,22 @@ Genome random_genome(const DesignSpace& space, Rng& rng) {
 /// Archive of every distinct genome evaluated during the run.  The returned
 /// front is the non-dominated subset of the archive, so information from any
 /// generation is never lost (elitist archive, standard NSGA-II practice).
-using Archive = std::map<Genome, std::pair<DesignPoint, Objectives>>;
+/// Slots are numbered in evaluation order: slot_of maps a genome id to its
+/// slot, and each slot holds the decoded point and one row of the flat
+/// row-major objective buffer.
+struct Archive {
+  static constexpr std::size_t kNone = ~std::size_t{0};
+
+  explicit Archive(std::size_t genome_ids) : slot_of(genome_ids, kNone) {}
+
+  std::vector<std::size_t> slot_of;  ///< by genome id; kNone = not archived
+  std::vector<DesignPoint> points;   ///< by slot
+  std::vector<double> rows;          ///< objectives by slot, row-major
+  std::size_t cols = 0;              ///< objectives per row
+
+  std::size_t size() const { return points.size(); }
+  ObjectiveRows objectives() const { return {rows.data(), size(), cols}; }
+};
 
 /// One batch of feasible (genome, decoded point) candidates.  Batches are
 /// produced serially — decode_with_repair consumes no randomness, so the RNG
@@ -75,56 +122,55 @@ using Archive = std::map<Genome, std::pair<DesignPoint, Objectives>>;
 /// and evaluated afterwards, possibly concurrently.
 struct CandidateBatch {
   std::vector<Genome> genomes;
+  std::vector<std::size_t> ids;
   std::vector<DesignPoint> points;
 
   std::size_t size() const { return genomes.size(); }
-  void add(const Genome& g, const DesignPoint& dp) {
+  void add(const Genome& g, std::size_t id, DesignPoint dp) {
     genomes.push_back(g);
-    points.push_back(dp);
+    ids.push_back(id);
+    points.push_back(std::move(dp));
   }
 };
 
-/// Fold a batch into the archive.  Genomes not yet archived are deduplicated
-/// in first-occurrence order, gathered contiguously, evaluated in pool-
-/// chunked batches, and inserted in that same fixed order — so archive
+/// Fold a batch into the archive.  Genomes not yet archived take the next
+/// slots in first-occurrence order (a taken slot marks the later copies of
+/// a genome in the same batch), are evaluated in pool-chunked batches and
+/// their objective rows appended in that same fixed order — so archive
 /// contents and stats->evaluations are bit-identical for every thread count
 /// and chunking.
 void fold_batch(const BatchObjectiveFn& objective, const CandidateBatch& batch,
                 Archive* archive, Nsga2Stats* stats, ThreadPool& pool) {
-  std::vector<std::size_t> miss;
-  std::set<Genome> pending;
+  const std::size_t first = archive->size();
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    if (archive->count(batch.genomes[i]) != 0) continue;
-    if (!pending.insert(batch.genomes[i]).second) continue;
-    miss.push_back(i);
+    std::size_t& slot = archive->slot_of[batch.ids[i]];
+    if (slot != Archive::kNone) continue;
+    slot = archive->size();
+    archive->points.push_back(batch.points[i]);
   }
-  std::vector<DesignPoint> cold;
-  cold.reserve(miss.size());
-  for (const std::size_t i : miss) cold.push_back(batch.points[i]);
-  std::vector<Objectives> results(miss.size());
+  const std::size_t cold = archive->size() - first;
+  const DesignPoint* points = archive->points.data() + first;
+  std::vector<Objectives> results(cold);
   pool.parallel_for_chunks(
-      miss.size(), kDseEvalChunk, [&](std::size_t begin, std::size_t end) {
-        objective(Span<const DesignPoint>(cold.data() + begin, end - begin),
+      cold, kDseEvalChunk, [&](std::size_t begin, std::size_t end) {
+        objective(Span<const DesignPoint>(points + begin, end - begin),
                   Span<Objectives>(results.data() + begin, end - begin));
       });
-  for (std::size_t j = 0; j < miss.size(); ++j) {
-    archive->emplace(batch.genomes[miss[j]],
-                     std::make_pair(batch.points[miss[j]], results[j]));
-    if (stats) ++stats->evaluations;
+  for (const Objectives& r : results) {
+    if (archive->cols == 0) archive->cols = r.size();
+    SEGA_EXPECTS(!r.empty() && r.size() == archive->cols);
+    archive->rows.insert(archive->rows.end(), r.begin(), r.end());
   }
+  stats->evaluations += static_cast<std::int64_t>(cold);
 }
 
-/// Materialize the batch as individuals from the (fully populated) archive.
+/// The batch as individuals of the (fully populated) archive.
 std::vector<Individual> individuals_from(const CandidateBatch& batch,
                                          const Archive& archive) {
-  std::vector<Individual> out;
-  out.reserve(batch.size());
+  std::vector<Individual> out(batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    Individual ind;
-    ind.genome = batch.genomes[i];
-    ind.point = batch.points[i];
-    ind.objectives = archive.at(batch.genomes[i]).second;
-    out.push_back(std::move(ind));
+    out[i].genome = batch.genomes[i];
+    out[i].slot = archive.slot_of[batch.ids[i]];
   }
   return out;
 }
@@ -173,23 +219,115 @@ void mutate(Genome* g, const DesignSpace& space, double per_gene_prob,
   }
 }
 
-/// Assign ranks and crowding to @p pop in place.
-void rank_population(std::vector<Individual>* pop) {
-  std::vector<Objectives> objs;
-  objs.reserve(pop->size());
-  for (const auto& ind : *pop) objs.push_back(ind.objectives);
-  const auto fronts = fast_non_dominated_sort(objs);
-  for (std::size_t f = 0; f < fronts.size(); ++f) {
-    std::vector<Objectives> front_objs;
-    front_objs.reserve(fronts[f].size());
-    for (const std::size_t i : fronts[f]) front_objs.push_back(objs[i]);
-    const auto crowd = crowding_distances(front_objs);
-    for (std::size_t j = 0; j < fronts[f].size(); ++j) {
-      (*pop)[fronts[f][j]].rank = static_cast<int>(f);
-      (*pop)[fronts[f][j]].crowding = crowd[j];
+/// Non-dominated ranking and crowding of populations against the archive's
+/// objective rows.  One instance serves a whole run, so its buffers are
+/// allocated once and reused every generation.
+class Ranking {
+ public:
+  /// Set the rank of every individual of @p pop and bucket the population
+  /// by front, each front listing its indices ascending.
+  void sort(const Archive& archive, std::vector<Individual>* pop) {
+    const std::size_t n = pop->size();
+    slots_.resize(n);
+    ranks_.resize(n);
+    for (std::size_t i = 0; i < n; ++i) slots_[i] = (*pop)[i].slot;
+    const std::size_t fronts = non_dominated_ranks(
+        archive.objectives(), slots_, ranks_, &scratch_);
+    start_.assign(fronts + 1, 0);
+    for (std::size_t i = 0; i < n; ++i) {
+      (*pop)[i].rank = ranks_[i];
+      ++start_[static_cast<std::size_t>(ranks_[i]) + 1];
+    }
+    std::partial_sum(start_.begin(), start_.end(), start_.begin());
+    by_front_.resize(n);
+    cursor_.assign(start_.begin(), start_.end() - 1);
+    for (std::size_t i = 0; i < n; ++i) {
+      by_front_[cursor_[static_cast<std::size_t>(ranks_[i])]++] = i;
     }
   }
-}
+
+  std::size_t fronts() const { return start_.size() - 1; }
+
+  /// Indices of front @p f of the last sort(), ascending.
+  Span<const std::size_t> front(std::size_t f) const {
+    return Span<const std::size_t>(by_front_.data() + start_[f],
+                                   start_[f + 1] - start_[f]);
+  }
+
+  /// Crowding of each of @p members (indices into @p pop forming one
+  /// front), computed over the members in the order given.
+  void crowd(const Archive& archive, Span<const std::size_t> members,
+             std::vector<Individual>* pop) {
+    const std::size_t n = members.size();
+    slots_.resize(n);
+    distances_.resize(n);
+    for (std::size_t j = 0; j < n; ++j) {
+      slots_[j] = (*pop)[members.data()[j]].slot;
+    }
+    crowding_distances(archive.objectives(), slots_, distances_, &scratch_);
+    for (std::size_t j = 0; j < n; ++j) {
+      (*pop)[members.data()[j]].crowding = distances_[j];
+    }
+  }
+
+  /// Rank @p pop and give every individual its crowding within its front.
+  void rank_population(const Archive& archive, std::vector<Individual>* pop) {
+    sort(archive, pop);
+    for (std::size_t f = 0; f < fronts(); ++f) crowd(archive, front(f), pop);
+  }
+
+  /// Environmental selection: the first @p size individuals of @p merged
+  /// by (rank, crowding descending), ties in input order — fronts in rank
+  /// order, each stable-sorted by its crowding.  Only the fronts that
+  /// contribute survivors are crowded.
+  ///
+  /// Survivors keep the ranks they have in @p merged: truncating by rank
+  /// keeps every dominator of a survivor, so ranking the survivors alone
+  /// would give the same fronts.  Their crowding is recomputed, because
+  /// each surviving front now lists its members in selection order, and the
+  /// order decides how equal objective values break ties.
+  void select(const Archive& archive, std::vector<Individual>* merged,
+              std::size_t size, std::vector<Individual>* survivors) {
+    sort(archive, merged);
+    survivors->clear();
+    for (std::size_t f = 0; f < fronts() && survivors->size() < size; ++f) {
+      crowd(archive, front(f), merged);
+      order_.assign(front(f).begin(), front(f).end());
+      std::stable_sort(order_.begin(), order_.end(),
+                       [&](std::size_t a, std::size_t b) {
+                         return (*merged)[a].crowding > (*merged)[b].crowding;
+                       });
+      for (const std::size_t i : order_) {
+        if (survivors->size() == size) break;
+        survivors->push_back((*merged)[i]);
+      }
+    }
+    positions_.resize(survivors->size());
+    std::iota(positions_.begin(), positions_.end(), std::size_t{0});
+    for (std::size_t begin = 0; begin < survivors->size();) {
+      std::size_t end = begin + 1;
+      while (end < survivors->size() &&
+             (*survivors)[end].rank == (*survivors)[begin].rank) {
+        ++end;
+      }
+      crowd(archive,
+            Span<const std::size_t>(positions_.data() + begin, end - begin),
+            survivors);
+      begin = end;
+    }
+  }
+
+ private:
+  ParetoScratch scratch_;
+  std::vector<std::size_t> slots_;
+  std::vector<int> ranks_;
+  std::vector<std::size_t> start_;
+  std::vector<std::size_t> cursor_;
+  std::vector<std::size_t> by_front_;
+  std::vector<std::size_t> order_;
+  std::vector<std::size_t> positions_;
+  std::vector<double> distances_;
+};
 
 }  // namespace
 
@@ -225,23 +363,28 @@ std::vector<DesignPoint> nsga2_optimize(const DesignSpace& space,
   ThreadPool& pool = owned ? *owned : ThreadPool::global();
 
   if (space.genome_range_empty()) return {};
+  const GenomeIds ids(space);
 
   // --- initial population ---
-  Archive archive;
+  Archive archive(ids.count());
+  Ranking ranking;
   CandidateBatch init;
   for (int attempts = 0;
        static_cast<int>(init.size()) < options.population &&
        attempts < options.population * 64;
        ++attempts) {
     Genome g = random_genome(space, rng);
-    if (auto dp = decode_with_repair(space, &g)) init.add(g, *dp);
+    if (auto dp = decode_with_repair(space, &g)) {
+      init.add(g, ids.of(g), std::move(*dp));
+    }
   }
   if (init.size() == 0) return {};
   fold_batch(objective, init, &archive, stats, pool);
   std::vector<Individual> pop = individuals_from(init, archive);
-  rank_population(&pop);
+  ranking.rank_population(archive, &pop);
 
   // --- generational loop ---
+  std::vector<Individual> merged;
   for (int gen = 0; gen < options.generations; ++gen) {
     CandidateBatch batch;
     while (batch.size() < pop.size()) {
@@ -252,46 +395,45 @@ std::vector<DesignPoint> nsga2_optimize(const DesignSpace& space,
                          : p1.genome;
       mutate(&child, space, options.mutation_prob, rng);
       if (auto dp = decode_with_repair(space, &child)) {
-        batch.add(child, *dp);
+        batch.add(child, ids.of(child), std::move(*dp));
       } else {
         // Infeasible even after repair: inject a random immigrant to keep
         // population pressure up.
         Genome imm = random_genome(space, rng);
-        if (auto dpi = decode_with_repair(space, &imm)) batch.add(imm, *dpi);
+        if (auto dpi = decode_with_repair(space, &imm)) {
+          batch.add(imm, ids.of(imm), std::move(*dpi));
+        }
       }
     }
     fold_batch(objective, batch, &archive, stats, pool);
-    std::vector<Individual> offspring = individuals_from(batch, archive);
+    const std::vector<Individual> offspring = individuals_from(batch, archive);
 
     // Environmental selection over parents + offspring.
-    std::vector<Individual> merged = std::move(pop);
-    merged.insert(merged.end(), std::make_move_iterator(offspring.begin()),
-                  std::make_move_iterator(offspring.end()));
-    rank_population(&merged);
-    std::stable_sort(merged.begin(), merged.end(),
-                     [](const Individual& a, const Individual& b) {
-                       if (a.rank != b.rank) return a.rank < b.rank;
-                       return a.crowding > b.crowding;
-                     });
-    merged.resize(static_cast<std::size_t>(options.population));
-    pop = std::move(merged);
-    rank_population(&pop);
+    merged.swap(pop);
+    merged.insert(merged.end(), offspring.begin(), offspring.end());
+    ranking.select(archive, &merged,
+                   static_cast<std::size_t>(options.population), &pop);
     ++stats->generations_run;
   }
 
-  // --- extract the non-dominated subset of everything evaluated ---
-  std::vector<DesignPoint> points;
-  std::vector<Objectives> objs;
-  points.reserve(archive.size());
-  objs.reserve(archive.size());
-  for (const auto& [g, entry] : archive) {
-    points.push_back(entry.first);
-    objs.push_back(entry.second);
+  // --- extract the non-dominated subset of everything evaluated, in
+  // genome-id order ---
+  std::vector<std::size_t> slots;
+  std::vector<double> rows;
+  slots.reserve(archive.size());
+  rows.reserve(archive.rows.size());
+  for (const std::size_t slot : archive.slot_of) {
+    if (slot == Archive::kNone) continue;
+    slots.push_back(slot);
+    const double* row = archive.objectives().row(slot);
+    rows.insert(rows.end(), row, row + archive.cols);
   }
-  const auto keep = non_dominated_indices(objs);
+  const auto keep =
+      non_dominated_indices(ObjectiveRows{rows.data(), slots.size(),
+                                          archive.cols});
   std::vector<DesignPoint> front;
   front.reserve(keep.size());
-  for (const std::size_t i : keep) front.push_back(points[i]);
+  for (const std::size_t i : keep) front.push_back(archive.points[slots[i]]);
   return front;
 }
 
