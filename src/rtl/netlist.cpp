@@ -33,7 +33,8 @@ NetId Netlist::const1() {
 
 std::vector<NetId> Netlist::add_input(const std::string& name, int width) {
   SEGA_EXPECTS(is_verilog_identifier(name));
-  SEGA_EXPECTS(find_port(name) == nullptr);
+  const bool fresh = port_index_.emplace(name, ports_.size()).second;
+  SEGA_EXPECTS(fresh);
   Port p;
   p.name = name;
   p.dir = PortDir::kInput;
@@ -44,7 +45,8 @@ std::vector<NetId> Netlist::add_input(const std::string& name, int width) {
 
 void Netlist::add_output(const std::string& name, std::vector<NetId> nets) {
   SEGA_EXPECTS(is_verilog_identifier(name));
-  SEGA_EXPECTS(find_port(name) == nullptr);
+  const bool fresh = port_index_.emplace(name, ports_.size()).second;
+  SEGA_EXPECTS(fresh);
   Port p;
   p.name = name;
   p.dir = PortDir::kOutput;
@@ -53,10 +55,8 @@ void Netlist::add_output(const std::string& name, std::vector<NetId> nets) {
 }
 
 const Port* Netlist::find_port(const std::string& name) const {
-  for (const auto& p : ports_) {
-    if (p.name == name) return &p;
-  }
-  return nullptr;
+  const auto it = port_index_.find(name);
+  return it == port_index_.end() ? nullptr : &ports_[it->second];
 }
 
 std::size_t Netlist::add_cell(CellKind kind,

@@ -25,6 +25,7 @@
 #include <initializer_list>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -118,7 +119,8 @@ class Netlist {
   /// Declare existing nets as an output bus.
   void add_output(const std::string& name, std::vector<NetId> nets);
   const std::vector<Port>& ports() const { return ports_; }
-  /// Find a port by name; nullptr when absent.
+  /// Find a port by name; nullptr when absent.  O(1): a name index is kept
+  /// next to ports().
   const Port* find_port(const std::string& name) const;
 
   // --- cells ---
@@ -192,6 +194,7 @@ class Netlist {
   std::vector<std::uint8_t> groups_;  // component group per cell
   std::vector<NetId> pins_;           // kCellPinSlots per cell
   std::vector<Port> ports_;
+  std::unordered_map<std::string, std::size_t> port_index_;  // name -> ports_
   std::vector<std::size_t> sram_cells_;
   std::optional<NetId> const0_;
   std::optional<NetId> const1_;
