@@ -154,7 +154,12 @@ MacroLayout floorplan_macro(const Technology& tech, const DcimMacro& macro,
   layout.width_um = width;
   layout.height_um = y;
   layout.area_mm2 = width * y * 1e-6;
-  layout.regions = {std::move(periph), std::move(compute), std::move(mem)};
+  // Moved in place: a braced list would copy every region and its placed
+  // cells out of the initializer_list.
+  layout.regions.reserve(3);
+  layout.regions.push_back(std::move(periph));
+  layout.regions.push_back(std::move(compute));
+  layout.regions.push_back(std::move(mem));
   SEGA_ENSURES(layout.utilization() <= 1.0 + 1e-9);
   return layout;
 }

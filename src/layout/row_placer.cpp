@@ -52,6 +52,7 @@ RowPlacement place_rows(const std::vector<double>& widths,
   double x = 0.0;
   int row = 0;
   double used_width = 0.0;
+  out.cells.reserve(widths.size());
   for (std::size_t i = 0; i < widths.size(); ++i) {
     if (x + widths[i] > row_width && x > 0.0) {
       used_width = std::max(used_width, x);
