@@ -21,8 +21,11 @@ using Objectives = std::vector<double>;
 /// A row-major block of objective vectors: row i is the `cols` values at
 /// data + i * cols.  A non-owning view, like Span.
 struct ObjectiveRows {
-  ObjectiveRows(const double* data_, std::size_t rows_, std::size_t cols_)
-      : data(data_), rows(rows_), cols(cols_) {}
+  /// A constructor, not an aggregate, so that an empty braced list still
+  /// selects the std::vector<Objectives> overloads below.
+  ObjectiveRows(const double* first, std::size_t row_count,
+                std::size_t col_count)
+      : data(first), rows(row_count), cols(col_count) {}
 
   const double* data;
   std::size_t rows;
