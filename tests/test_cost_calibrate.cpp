@@ -86,6 +86,25 @@ std::vector<CalibrationSample> planted_corpus(const Technology& tech,
   return corpus;
 }
 
+/// The planted corpus with seeded +/-2% multiplicative noise on every
+/// measured headline metric.
+std::vector<CalibrationSample> noisy_corpus(const Technology& tech,
+                                            const EvalConditions& cond,
+                                            const Calibration& planted) {
+  auto corpus = planted_corpus(tech, cond, planted);
+  Rng rng(42);
+  for (auto& sample : corpus) {
+    const auto jitter = [&] {
+      return 1.0 + static_cast<double>(rng.uniform_int(-20, 20)) / 1000.0;
+    };
+    sample.measured.area_mm2 *= jitter();
+    sample.measured.delay_ns *= jitter();
+    sample.measured.energy_per_mvm_nj *= jitter();
+    sample.measured.throughput_tops *= jitter();
+  }
+  return corpus;
+}
+
 // --------------------------------------------------------------- the solver
 
 TEST(CalibrateTest, LeastSquaresRecoversExactCoefficients) {
@@ -262,18 +281,8 @@ TEST(CalibrateTest, FitRecoversUnderSeededNoise) {
   // and still never widen any envelope.
   const Technology tech = Technology::tsmc28();
   const EvalConditions cond;
-  const Calibration planted = planted_calibration(tech, cond);
-  auto corpus = planted_corpus(tech, cond, planted);
-  Rng rng(42);
-  for (auto& sample : corpus) {
-    const auto jitter = [&] {
-      return 1.0 + static_cast<double>(rng.uniform_int(-20, 20)) / 1000.0;
-    };
-    sample.measured.area_mm2 *= jitter();
-    sample.measured.delay_ns *= jitter();
-    sample.measured.energy_per_mvm_nj *= jitter();
-    sample.measured.throughput_tops *= jitter();
-  }
+  const auto corpus =
+      noisy_corpus(tech, cond, planted_calibration(tech, cond));
   std::string error;
   std::map<std::string, CalibrationMetricFit> fits;
   const auto cal = fit_calibration(tech, cond, corpus, &error, &fits);
@@ -284,6 +293,26 @@ TEST(CalibrateTest, FitRecoversUnderSeededNoise) {
     EXPECT_LE(fit.envelope_after, 0.05) << metric;
     EXPECT_LE(fit.envelope_after, fit.envelope_before) << metric;
   }
+}
+
+TEST(CalibrateTest, FittedArtifactsAreByteStable) {
+  // The artifact bytes fitted from the planted and the noisy corpus, pinned
+  // across versions: a refactor of the fitter, the derivation or the
+  // artifact writer must not move a single byte of either.
+  const Technology tech = Technology::tsmc28();
+  const EvalConditions cond;
+  const Calibration planted = planted_calibration(tech, cond);
+  std::string error;
+  const auto exact =
+      fit_calibration(tech, cond, planted_corpus(tech, cond, planted), &error);
+  ASSERT_TRUE(exact.has_value()) << error;
+  const auto noisy =
+      fit_calibration(tech, cond, noisy_corpus(tech, cond, planted), &error);
+  ASSERT_TRUE(noisy.has_value()) << error;
+  EXPECT_EQ(exact->serialize().size(), 1478u);
+  EXPECT_EQ(exact->digest(), "bfe45ea6");
+  EXPECT_EQ(noisy->serialize().size(), 1494u);
+  EXPECT_EQ(noisy->digest(), "398f96d4");
 }
 
 TEST(CalibrateTest, FitIsBitDeterministicUnderPermutationAndThreads) {
