@@ -1,11 +1,11 @@
 // Microbenchmarks of the estimation models (Tables II-VI) and the
 // generation path — the costs that bound the compiler's interactive loop.
 //
-// The CostModelScalarVsBatched family compares the scalar evaluate_macro
-// reference against AnalyticCostModel::evaluate_batch at batch sizes
-// 1/64/1024 for INT8/FP16/FP32 — the speedup the layered engine buys the
-// DSE hot loop.  Throughput is reported as items_per_second (design points
-// evaluated per second); results land in the CI bench-smoke JSON artifacts.
+// BM_CostModelBatched times AnalyticCostModel::evaluate_batch at batch sizes
+// 1/64/1024 for INT8/FP16/FP32, the call every explorer makes;
+// BM_EvaluateMacro* time one point through evaluate_macro.  Throughput is
+// reported as items_per_second (design points evaluated per second);
+// results land in the CI bench-smoke JSON artifacts.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -52,19 +52,6 @@ std::vector<DesignPoint> batch_of(const char* precision_name,
   return batch;
 }
 
-void BM_CostModelScalar(benchmark::State& state, const char* precision_name) {
-  const Technology tech = Technology::tsmc28();
-  const auto batch = batch_of(precision_name,
-                              static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    for (const DesignPoint& dp : batch) {
-      benchmark::DoNotOptimize(evaluate_macro(tech, dp));
-    }
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(batch.size()));
-}
-
 void BM_CostModelBatched(benchmark::State& state, const char* precision_name) {
   const Technology tech = Technology::tsmc28();
   const AnalyticCostModel model(tech);
@@ -80,15 +67,9 @@ void BM_CostModelBatched(benchmark::State& state, const char* precision_name) {
                           static_cast<std::int64_t>(batch.size()));
 }
 
-BENCHMARK_CAPTURE(BM_CostModelScalar, INT8, "INT8")
-    ->Arg(1)->Arg(64)->Arg(1024);
 BENCHMARK_CAPTURE(BM_CostModelBatched, INT8, "INT8")
     ->Arg(1)->Arg(64)->Arg(1024);
-BENCHMARK_CAPTURE(BM_CostModelScalar, FP16, "FP16")
-    ->Arg(1)->Arg(64)->Arg(1024);
 BENCHMARK_CAPTURE(BM_CostModelBatched, FP16, "FP16")
-    ->Arg(1)->Arg(64)->Arg(1024);
-BENCHMARK_CAPTURE(BM_CostModelScalar, FP32, "FP32")
     ->Arg(1)->Arg(64)->Arg(1024);
 BENCHMARK_CAPTURE(BM_CostModelBatched, FP32, "FP32")
     ->Arg(1)->Arg(64)->Arg(1024);
@@ -131,11 +112,11 @@ std::vector<DesignPoint> calibration_corpus_points(std::size_t size) {
   return points;
 }
 
-/// The `validate --calibrate` hot step: least-squares module factors +
-/// minimax scales + the per-metric envelope guard, over a measured corpus
-/// (synthesized here from a planted calibration so the fit always
-/// converges).  Corpus sizes bracket the real knee grids (3 = the default
-/// validate grid, 64 = a full sweep's worth of knees).
+/// The `validate --calibrate` hot step: one-column least-squares module
+/// factors + minimax scales + the per-metric envelope guard, over a
+/// measured corpus (synthesized here from a planted calibration so the fit
+/// always converges).  Corpus sizes bracket the real knee grids (3 = the
+/// default validate grid, 64 = a full sweep's worth of knees).
 void BM_CalibrationFit(benchmark::State& state) {
   const Technology tech = Technology::tsmc28();
   const EvalConditions cond;
@@ -167,8 +148,8 @@ BENCHMARK(BM_CalibrationFit)->Arg(3)->Arg(64);
 
 /// Calibrated evaluation throughput, directly comparable to the
 /// uncalibrated BM_CostModelBatched/INT8 rows: the per-module factors and
-/// trailing scales ride the same staged batch pipeline, so calibration
-/// must cost a few multiplies per point, not a second derivation.
+/// trailing scales ride the one derivation, so calibration must cost a few
+/// multiplies per point, not a second derivation.
 void BM_CalibrationEvalBatched(benchmark::State& state) {
   const Technology tech = Technology::tsmc28();
   const EvalConditions cond;

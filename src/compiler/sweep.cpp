@@ -528,9 +528,11 @@ SweepResult run_sweep(const Compiler& compiler, const SweepSpec& spec,
                spec.shard.index < spec.shard.count);
   if (error) error->clear();
 
-  // One memoizing cache across the whole grid: cells at the same Wstore (and
-  // neighbouring ones — the genome space overlaps heavily) revisit the same
-  // design points, and checkpoint recovery re-derives knee metrics from it.
+  // One memoizing cache across the whole grid.  Cells share no design point
+  // (each cell is its own Wstore and precision), so within a run the cache
+  // only answers explore_nsga2 re-reading its own front.  What the one
+  // cache is for: one memo file per run, checkpoint recovery re-deriving
+  // knee metrics from it, and the serve daemon's cross-request cache.
   // The evaluation config resolves before any checkpoint or memo is
   // touched: its identity is part of both fingerprints.  A host-provided
   // shared cache (SweepSpec::shared_cache — the serve daemon's warm

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
-#include <stdexcept>
 #include <tuple>
 
 #include "tech/techlib_parser.h"
@@ -26,187 +25,8 @@ auto point_order_key(const DesignPoint& dp) {
 
 bool finite(double v) { return std::isfinite(v); }
 
-}  // namespace
-
-// ----------------------------------------------------------- least squares
-
-std::vector<double> least_squares_fit(
-    const std::vector<std::vector<double>>& rows,
-    const std::vector<double>& y) {
-  const auto fail = [](const std::string& msg) -> std::vector<double> {
-    throw std::runtime_error("least_squares_fit: " + msg);
-  };
-  const std::size_t m = rows.size();
-  if (m == 0) return fail("empty system (no observations)");
-  const std::size_t n = rows[0].size();
-  if (n == 0) return fail("empty system (no coefficients)");
-  if (y.size() != m) {
-    return fail(strfmt("observation/target count mismatch (%zu rows, %zu "
-                       "targets)",
-                       m, y.size()));
-  }
-  for (const auto& row : rows) {
-    if (row.size() != n) return fail("ragged system (unequal row widths)");
-    for (const double v : row) {
-      if (!finite(v)) return fail("non-finite coefficient");
-    }
-  }
-  for (const double v : y) {
-    if (!finite(v)) return fail("non-finite target");
-  }
-  if (m < n) {
-    return fail(strfmt("rank-deficient system: %zu observation(s) for %zu "
-                       "coefficient(s)",
-                       m, n));
-  }
-
-  // Column scaling: divide each column by its max |entry| so the normal
-  // matrix is O(1)-conditioned in scale and the pivot tolerance is
-  // meaningful across wildly different units.
-  std::vector<double> scale(n, 0.0);
-  for (std::size_t j = 0; j < n; ++j) {
-    for (std::size_t i = 0; i < m; ++i) {
-      scale[j] = std::max(scale[j], std::fabs(rows[i][j]));
-    }
-    if (scale[j] == 0.0) {
-      return fail(strfmt("rank-deficient system: column %zu is identically "
-                         "zero",
-                         j));
-    }
-  }
-
-  // Normal equations on the scaled columns: N x' = r with
-  // N = B^T B, r = B^T y, B_ij = A_ij / scale[j]; fixed accumulation order.
-  std::vector<std::vector<double>> normal(n, std::vector<double>(n + 1, 0.0));
-  for (std::size_t j = 0; j < n; ++j) {
-    for (std::size_t l = 0; l < n; ++l) {
-      double acc = 0.0;
-      for (std::size_t i = 0; i < m; ++i) {
-        acc += (rows[i][j] / scale[j]) * (rows[i][l] / scale[l]);
-      }
-      normal[j][l] = acc;
-    }
-    double acc = 0.0;
-    for (std::size_t i = 0; i < m; ++i) {
-      acc += (rows[i][j] / scale[j]) * y[i];
-    }
-    normal[j][n] = acc;
-  }
-
-  // Pivot tolerance relative to the largest normal-matrix entry: a genuinely
-  // collinear system leaves pivots at rounding-noise level, many orders
-  // below this.
-  double largest = 0.0;
-  for (std::size_t j = 0; j < n; ++j) {
-    for (std::size_t l = 0; l < n; ++l) {
-      largest = std::max(largest, std::fabs(normal[j][l]));
-    }
-  }
-  const double tolerance = 1e-9 * std::max(1.0, largest);
-
-  // Gaussian elimination with partial pivoting.
-  for (std::size_t k = 0; k < n; ++k) {
-    std::size_t pivot = k;
-    for (std::size_t r = k + 1; r < n; ++r) {
-      if (std::fabs(normal[r][k]) > std::fabs(normal[pivot][k])) pivot = r;
-    }
-    if (std::fabs(normal[pivot][k]) <= tolerance) {
-      return fail(strfmt("rank-deficient system: pivot %g below tolerance "
-                         "at column %zu (collinear coefficients)",
-                         std::fabs(normal[pivot][k]), k));
-    }
-    if (pivot != k) std::swap(normal[pivot], normal[k]);
-    for (std::size_t r = k + 1; r < n; ++r) {
-      const double factor = normal[r][k] / normal[k][k];
-      for (std::size_t c = k; c <= n; ++c) {
-        normal[r][c] -= factor * normal[k][c];
-      }
-    }
-  }
-  std::vector<double> x(n, 0.0);
-  for (std::size_t k = n; k-- > 0;) {
-    double acc = normal[k][n];
-    for (std::size_t c = k + 1; c < n; ++c) acc -= normal[k][c] * x[c];
-    x[k] = acc / normal[k][k];
-  }
-  for (std::size_t j = 0; j < n; ++j) {
-    x[j] /= scale[j];
-    if (!finite(x[j])) return fail("solution is not finite");
-  }
-  return x;
-}
-
-// ------------------------------------------------- calibrated derivation
-
-MacroMetrics derive_metrics_calibrated(const EvalContext& ctx,
-                                       const MacroCensus& census,
-                                       const CostedMacro& costed,
-                                       const Calibration& cal) {
-  MacroMetrics m;
-  m.gates = costed.gates;
-
-  // Module factors fold in per census part, in the exact accumulation order
-  // of cost_components — with the identity Calibration every multiply is
-  // by 1.0, so the result is bit-identical to the uncalibrated path.
-  double area_g = 0.0;
-  double energy_g = 0.0;
-  for (int i = 0; i < census.part_count; ++i) {
-    const ComponentUse& use = census.parts[static_cast<std::size_t>(i)];
-    const auto slot = static_cast<std::size_t>(use.component);
-    const double area = use.unit.area * static_cast<double>(use.copies);
-    const double energy = use.unit.energy * static_cast<double>(use.copies) *
-                          use.energy_mul / use.energy_div;
-    area_g += cal.area_factor[slot] * area;
-    energy_g += cal.energy_factor[slot] * energy;
-  }
-  const double delay_g = std::max(
-      {census.array_path_delay, census.accu_delay, census.fusion_delay});
-  m.area_gates = cal.area_scale * area_g;
-  m.energy_gates = cal.energy_scale * energy_g;
-  m.delay_gates = cal.delay_scale * delay_g;
-  for (int i = 0; i < kMacroComponentCount; ++i) {
-    const auto slot = static_cast<std::size_t>(i);
-    if (!costed.present[slot]) continue;
-    const char* key = macro_component_name(static_cast<MacroComponent>(i));
-    m.area_breakdown[key] =
-        cal.area_scale * (cal.area_factor[slot] * costed.area_by[slot]);
-    m.energy_breakdown[key] =
-        cal.energy_scale * (cal.energy_factor[slot] * costed.energy_by[slot]);
-  }
-  m.cycles_per_input = census.cycles;
-
-  // Per-metric scales apply as one trailing multiply per headline metric
-  // (metric == scale * unscaled_metric bit-exactly — the fitter's envelope
-  // guard relies on this).
-  m.area_um2 = cal.area_scale * ctx.area_um2(area_g);
-  m.area_mm2 = cal.area_scale * (ctx.area_um2(area_g) * 1e-6);
-  const double delay_raw = ctx.delay_ns(delay_g);
-  m.delay_ns = cal.delay_scale * delay_raw;
-  SEGA_ASSERT(m.delay_ns > 0.0);
-  m.freq_ghz = 1.0 / m.delay_ns;
-  const double cycle_raw = ctx.energy_fj(energy_g);
-  m.energy_per_cycle_fj = cal.energy_scale * cycle_raw;
-  m.energy_per_mvm_nj =
-      cal.energy_scale *
-      (cycle_raw * static_cast<double>(m.cycles_per_input) * 1e-6);
-  m.power_w = m.energy_per_cycle_fj * 1e-15 / (m.delay_ns * 1e-9);
-  const double macs_per_cycle =
-      static_cast<double>(census.n) * static_cast<double>(census.h) /
-      (static_cast<double>(census.bw) *
-       static_cast<double>(m.cycles_per_input));
-  const double ops_per_s = 2.0 * macs_per_cycle / (m.delay_ns * 1e-9);
-  m.throughput_tops = cal.throughput_scale * (ops_per_s * 1e-12);
-  m.tops_per_w = m.throughput_tops / m.power_w;
-  m.tops_per_mm2 = m.throughput_tops / m.area_mm2;
-  return m;
-}
-
-// ------------------------------------------------------------------ fitting
-
-namespace {
-
-/// Evaluate every corpus point through the calibrated derivation, in corpus
-/// order — exactly what a calibrated AnalyticCostModel will later produce.
+/// Evaluate every corpus point under @p cal's correction, in corpus order —
+/// exactly what a calibrated AnalyticCostModel will later produce.
 std::vector<MacroMetrics> evaluate_corpus(
     const EvalContext& ctx, const Technology& tech,
     const std::vector<CalibrationSample>& corpus, const Calibration& cal) {
@@ -214,8 +34,7 @@ std::vector<MacroMetrics> evaluate_corpus(
   out.reserve(corpus.size());
   for (const auto& sample : corpus) {
     const MacroCensus census = census_macro(tech, sample.point);
-    out.push_back(
-        derive_metrics_calibrated(ctx, census, cost_components(census), cal));
+    out.push_back(derive_metrics(ctx, census, cost_components(census), cal));
   }
   return out;
 }
@@ -328,7 +147,7 @@ std::optional<Calibration> fit_calibration(
   for (int comp = 0; comp < kMacroComponentCount; ++comp) {
     const char* key = macro_component_name(static_cast<MacroComponent>(comp));
     for (const bool is_area : {true, false}) {
-      std::vector<std::vector<double>> rows;
+      std::vector<double> analytic;
       std::vector<double> targets;
       for (std::size_t i = 0; i < corpus.size(); ++i) {
         const auto& analytic_bd = is_area ? uncal[i].area_breakdown
@@ -341,17 +160,23 @@ std::optional<Calibration> fit_calibration(
             measured_it == measured_bd.end() || analytic_it->second == 0.0) {
           continue;
         }
-        rows.push_back({analytic_it->second});
+        analytic.push_back(analytic_it->second);
         targets.push_back(measured_it->second);
       }
-      if (rows.empty()) continue;
-      double factor = 1.0;
-      try {
-        factor = least_squares_fit(rows, targets)[0];
-      } catch (const std::runtime_error& e) {
-        return fail(strfmt("module '%s' %s fit failed: %s", key,
-                           is_area ? "area" : "energy", e.what()));
+      if (analytic.empty()) continue;
+      // min ||a x - y|| over the column scaled by s = max |a_i| (every a_i
+      // is nonzero, so s > 0): x = (sum b_i y_i / sum b_i^2) / s with
+      // b_i = a_i / s, both sums accumulated in corpus order.
+      double s = 0.0;
+      for (const double a : analytic) s = std::max(s, std::fabs(a));
+      double bb = 0.0;
+      double by = 0.0;
+      for (std::size_t i = 0; i < analytic.size(); ++i) {
+        const double b = analytic[i] / s;
+        bb += b * b;
+        by += b * targets[i];
       }
+      double factor = by / bb / s;
       // A non-positive factor would zero or negate a component; no
       // measured breakdown justifies that — keep the identity and let the
       // metric scale absorb the offset.

@@ -13,11 +13,11 @@
 // Fit design, and the envelope guarantee:
 //
 //   1. *Per-module factors* (area and energy separately): each factor is an
-//      independent one-column least-squares fit of the measured component
-//      breakdown against the analytic one — diagonal systems that stay full
-//      rank even on the 3-knee default corpus (a joint 8-column regression
-//      over 3 points would always be rank-deficient).  Modules absent from
-//      the corpus keep factor 1.0.
+//      independent one-column least-squares fit, in closed form, of the
+//      measured component breakdown against the analytic one — diagonal
+//      systems that stay full rank even on the 3-knee default corpus (a
+//      joint 8-column regression over 3 points would always be
+//      rank-deficient).  Modules absent from the corpus keep factor 1.0.
 //   2. *Per-metric scales* (area, delay, energy, throughput): with the module
 //      factors applied, each headline metric gets one multiplicative scale
 //      chosen as the **minimax center** s = (rho_max + rho_min) / 2 of the
@@ -38,7 +38,6 @@
 // bit-identical at any thread count and under any corpus permutation.
 #pragma once
 
-#include <array>
 #include <map>
 #include <memory>
 #include <optional>
@@ -57,19 +56,6 @@ namespace sega {
 /// other versions (a stale artifact must never silently reinterpret).
 inline constexpr int kCalibrationFormatVersion = 1;
 
-/// Deterministic ordinary least squares min ||A x - y||_2 via the normal
-/// equations A^T A x = A^T y, with per-column scaling (each column divided
-/// by its max |entry| before solving, undone after) and Gaussian elimination
-/// with partial pivoting.  @p rows holds A row-major (every row the same
-/// width), @p y the targets.
-///
-/// Hard errors (std::runtime_error with a clear message), never NaN/Inf:
-/// empty system, fewer rows than columns, ragged rows, non-finite inputs,
-/// or a rank-deficient A^T A (pivot below kRankTolerance after scaling).
-std::vector<double> least_squares_fit(
-    const std::vector<std::vector<double>>& rows,
-    const std::vector<double>& y);
-
 /// One corpus point: a design point plus its *measured* (RTL-traced)
 /// metrics.  The analytic side is recomputed by the fitter, so a corpus is
 /// exactly what `validate` already produces per knee.
@@ -87,36 +73,18 @@ struct CalibrationMetricFit {
   bool module_factors_kept = true;  ///< false: the envelope guard reset them
 };
 
-/// The fitted parameters plus the identity that fingerprints them.  A
-/// default-constructed Calibration is the identity (every factor and scale
-/// 1.0) — applying it reproduces the uncalibrated model bit-for-bit.
-class Calibration {
+/// The fitted parameters (the MetricCorrection base, macro_model.h) plus
+/// the identity that fingerprints them.  A default-constructed Calibration
+/// is the identity correction — applying it reproduces the uncalibrated
+/// model bit-for-bit.
+class Calibration : public MetricCorrection {
  public:
-  // --- fitted parameters ---------------------------------------------------
-  /// Multiplicative factors on the analytic per-module area / per-cycle
-  /// energy breakdown entries, indexed by MacroComponent.
-  std::array<double, kMacroComponentCount> area_factor;
-  std::array<double, kMacroComponentCount> energy_factor;
-  /// Multiplicative corrections applied to the final headline metrics
-  /// (area_mm2 / delay_ns / energy_per_mvm_nj / throughput_tops and every
-  /// quantity derived from them).
-  double area_scale = 1.0;
-  double delay_scale = 1.0;
-  double energy_scale = 1.0;
-  double throughput_scale = 1.0;
-
-  // --- identity ------------------------------------------------------------
   int format_version = kCalibrationFormatVersion;
   std::string model;       ///< fitted model's model_name() — "analytic"
   int model_version = 0;   ///< fitted model's model_version()
   std::string techlib;     ///< full serialized technology (write_techlib)
   EvalConditions conditions;
   std::int64_t corpus_size = 0;
-
-  Calibration() {
-    area_factor.fill(1.0);
-    energy_factor.fill(1.0);
-  }
 
   /// The exact artifact bytes `save_calibration` writes — canonical, so the
   /// digest is a pure function of the parameters + identity.
@@ -134,25 +102,15 @@ class Calibration {
 };
 
 /// Fit a Calibration for (tech, cond) over @p corpus.  Hard errors (false +
-/// *error): empty corpus, fewer than two distinct design points, non-finite
-/// or non-positive measured headline metrics, or a rank-deficient module
-/// system.  On success @p fit_report (when given) receives the before/after
-/// envelope per headline metric, keyed "area" / "delay" / "energy" /
-/// "throughput".  By construction envelope_after <= envelope_before for
-/// every metric.
+/// *error): empty corpus, fewer than two distinct design points, or
+/// non-finite or non-positive measured headline metrics.  On success
+/// @p fit_report (when given) receives the before/after envelope per
+/// headline metric, keyed "area" / "delay" / "energy" / "throughput".  By
+/// construction envelope_after <= envelope_before for every metric.
 std::optional<Calibration> fit_calibration(
     const Technology& tech, const EvalConditions& cond,
     std::vector<CalibrationSample> corpus, std::string* error,
     std::map<std::string, CalibrationMetricFit>* fit_report = nullptr);
-
-/// Stage-4 derivation with @p cal applied: module factors on the component
-/// breakdowns, then the per-metric scales on the final metrics (applied as
-/// one trailing multiply, so metric == scale * unscaled_metric bit-exactly).
-/// With the identity Calibration this is bit-identical to derive_metrics.
-MacroMetrics derive_metrics_calibrated(const EvalContext& ctx,
-                                       const MacroCensus& census,
-                                       const CostedMacro& costed,
-                                       const Calibration& cal);
 
 /// Atomically write the artifact (write_file_atomic).
 bool save_calibration(const Calibration& cal, const std::string& path,

@@ -1,13 +1,13 @@
 // Memoizing CostModel decorator with a persistent cross-process memo file.
 //
-// NSGA-II revisits the same genome many times across generations (elitism,
-// crossover of similar parents, repair walks converging on the same decode),
-// the multi-precision merge re-evaluates every front member, and repeated
-// sweeps of overlapping grids revisit whole cells' worth of points.  The
-// macro model is a pure function of (Technology, EvalConditions,
-// DesignPoint), so one CostCache — wrapping a model bound to fixed
-// technology and conditions — turns every repeated evaluation into a lookup,
-// and its memo file carries that across processes.
+// explore_nsga2 re-reads its front after the run, the multi-precision merge
+// re-evaluates every front member, checkpoint recovery re-derives knee
+// metrics, and repeated runs of a grid (a warm rerun, or requests to the
+// serve daemon) revisit whole cells' worth of points.  The macro model is a
+// pure function of (Technology, EvalConditions, DesignPoint), so one
+// CostCache — wrapping a model bound to fixed technology and conditions —
+// turns every repeated evaluation into a lookup, and its memo file carries
+// that across processes.
 //
 // Thread safety: evaluate()/evaluate_batch() may be called concurrently from
 // the DSE thread pool.  The table is sharded 16 ways to keep lock contention

@@ -64,41 +64,18 @@ AnalyticCostModel::AnalyticCostModel(const Technology& tech,
                                      EvalConditions cond,
                                      std::shared_ptr<const Calibration> cal,
                                      bool layout)
-    : ctx_(tech, cond), cal_(std::move(cal)), layout_(layout) {}
+    : ctx_(tech, cond), cal_(std::move(cal)), layout_(layout) {
+  if (cal_) correction_ = *cal_;
+}
 
-MacroMetrics AnalyticCostModel::derive(const DesignPoint& dp,
-                                       const MacroCensus& census) const {
+MacroMetrics AnalyticCostModel::evaluate(const DesignPoint& dp) const {
+  const MacroCensus census = census_macro(tech(), dp);
   MacroMetrics m =
-      cal_ ? derive_metrics_calibrated(ctx_, census, cost_components(census),
-                                       *cal_)
-           : derive_metrics(ctx_, census, cost_components(census));
+      derive_metrics(ctx_, census, cost_components(census), correction_);
   if (layout_) {
     apply_layout_cost(estimate_layout_cost(ctx_, build_dcim_macro(dp)), &m);
   }
   return m;
-}
-
-MacroMetrics AnalyticCostModel::evaluate(const DesignPoint& dp) const {
-  return derive(dp, census_macro(tech(), dp));
-}
-
-void AnalyticCostModel::evaluate_batch(Span<const DesignPoint> points,
-                                       Span<MacroMetrics> out) const {
-  SEGA_EXPECTS(points.size() == out.size());
-  if (points.size() == 1) {
-    // Nothing to amortize — skip the batch memo entirely.
-    out[0] = evaluate(points[0]);
-    return;
-  }
-  // One module-cost memo across the batch: neighbouring points reuse the
-  // same selectors/trees/accumulators, so most Table II/IV closed forms are
-  // computed once per batch instead of once per point.  Derivation stays
-  // per point, so the batch is bit-identical to a serial loop of evaluate()
-  // regardless of batch split or thread count.
-  ModuleCostMemo memo(tech());
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    out[i] = derive(points[i], census_macro(tech(), points[i], &memo));
-  }
 }
 
 }  // namespace sega

@@ -3,14 +3,12 @@
 // Everything that consumes macro metrics (NSGA-II, the exhaustive/random/
 // weighted-sum baselines, the sweep grid) talks to a CostModel rather than
 // to the free evaluate_macro function.  The interface is batch-oriented:
-// evaluate_batch() is the hot entry point, and pool tasks submit whole
-// batches of design points instead of single ones, so an implementation can
-// amortize per-batch work (hoisted EvalContext, module-cost memoization)
-// across many points.
+// pool tasks submit whole chunks of design points through evaluate_batch(),
+// so a decorator such as CostCache takes its locks once per chunk and
+// RtlCostModel can fan a chunk out over threads.
 //
-// AnalyticCostModel is the paper's Table II-VI model.  Its batched path is
-// bit-identical to the scalar evaluate_macro reference — same stages, same
-// arithmetic, same order — which tests cross-check point by point.
+// AnalyticCostModel is the paper's Table II-VI model: evaluate_macro's
+// stages under the model's calibration, one point at a time.
 #pragma once
 
 #include <memory>
@@ -97,17 +95,16 @@ std::unique_ptr<CostModel> make_cost_model(
 
 /// The analytic model of Tables II-VI: EvalContext -> gate census ->
 /// component costing -> absolute-metric derivation.  The context is hoisted
-/// to construction; the batch path additionally shares a module-cost memo
-/// across the batch.
+/// to construction; the base evaluate_batch loop serves batches.
 class AnalyticCostModel final : public CostModel {
  public:
   /// The model keeps a pointer to @p tech; the technology must outlive it.
   /// A null @p cal is the uncalibrated model; otherwise every evaluation
-  /// derives through derive_metrics_calibrated.  With @p layout, every
+  /// derives under the artifact's correction.  With @p layout, every
   /// evaluation also builds the macro netlist, floorplans it, and folds the
   /// wire parasitics (layout_cost.h) after metric derivation.  Both stages
-  /// are per-point pure, so batches stay bit-identical to the scalar path
-  /// at any thread count and to the fitter's own re-evaluation.
+  /// are per-point pure, so batches stay bit-identical to single points at
+  /// any thread count and to the fitter's own re-evaluation.
   explicit AnalyticCostModel(const Technology& tech, EvalConditions cond = {},
                              std::shared_ptr<const Calibration> cal = nullptr,
                              bool layout = false);
@@ -122,15 +119,11 @@ class AnalyticCostModel final : public CostModel {
   bool layout_enabled() const override { return layout_; }
 
   MacroMetrics evaluate(const DesignPoint& dp) const override;
-  void evaluate_batch(Span<const DesignPoint> points,
-                      Span<MacroMetrics> out) const override;
 
  private:
-  /// Stages after the census: costing, derivation, and the layout fold.
-  MacroMetrics derive(const DesignPoint& dp, const MacroCensus& census) const;
-
   EvalContext ctx_;
   std::shared_ptr<const Calibration> cal_;
+  MetricCorrection correction_;  ///< cal_'s parameters, or the identity
   bool layout_ = false;
 };
 

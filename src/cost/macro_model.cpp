@@ -37,62 +37,6 @@ const char* macro_component_name(MacroComponent component) {
   return "";
 }
 
-// ------------------------------------------------------ module-cost memo
-
-namespace {
-
-/// Generic lookup-or-compute for the memo maps.
-template <typename Map, typename Key, typename Fn>
-const ModuleCost& memo_get(Map& map, const Key& key, Fn&& compute) {
-  const auto it = map.find(key);
-  if (it != map.end()) return it->second;
-  return map.emplace(key, compute()).first->second;
-}
-
-}  // namespace
-
-const ModuleCost& ModuleCostMemo::sel(int n) {
-  return memo_get(sel_, n, [&] { return sel_cost(*tech_, n); });
-}
-
-const ModuleCost& ModuleCostMemo::mul(int k) {
-  return memo_get(mul_, k, [&] { return mul_cost(*tech_, k); });
-}
-
-const ModuleCost& ModuleCostMemo::adder_tree(int h, int k, bool pipelined) {
-  return memo_get(tree_, std::make_tuple(h, k, pipelined), [&] {
-    return pipelined ? adder_tree_pipelined_cost(*tech_, h, k)
-                     : adder_tree_cost(*tech_, h, k);
-  });
-}
-
-const ModuleCost& ModuleCostMemo::shift_accumulator(int bx, int h, bool gated) {
-  return memo_get(accu_, std::make_tuple(bx, h, gated), [&] {
-    return gated ? shift_accumulator_gated_cost(*tech_, bx, h)
-                 : shift_accumulator_cost(*tech_, bx, h);
-  });
-}
-
-const ModuleCost& ModuleCostMemo::result_fusion(int bw, int w) {
-  return memo_get(fusion_, std::make_tuple(bw, w),
-                  [&] { return result_fusion_cost(*tech_, bw, w); });
-}
-
-const ModuleCost& ModuleCostMemo::input_buffer(int h, int bx, int k) {
-  return memo_get(buffer_, std::make_tuple(h, bx, k),
-                  [&] { return input_buffer_cost(*tech_, h, bx, k); });
-}
-
-const ModuleCost& ModuleCostMemo::pre_alignment(int h, int be, int bm) {
-  return memo_get(align_, std::make_tuple(h, be, bm),
-                  [&] { return pre_alignment_cost(*tech_, h, be, bm); });
-}
-
-const ModuleCost& ModuleCostMemo::int_to_fp(int br, int be) {
-  return memo_get(convert_, std::make_tuple(br, be),
-                  [&] { return int_to_fp_cost(*tech_, br, be); });
-}
-
 // -------------------------------------------------------- stage 2: census
 
 void MacroCensus::add(MacroComponent component, const ModuleCost& unit,
@@ -107,18 +51,9 @@ void MacroCensus::add(MacroComponent component, const ModuleCost& unit,
   use.energy_div = energy_div;
 }
 
-MacroCensus census_macro(const Technology& tech, const DesignPoint& dp,
-                         ModuleCostMemo* memo) {
+MacroCensus census_macro(const Technology& tech, const DesignPoint& dp) {
   SEGA_EXPECTS(dp.n >= 1 && dp.h >= 2 && dp.l >= 1 && dp.k >= 1);
   SEGA_EXPECTS(dp.arch == arch_for(dp.precision));
-  SEGA_EXPECTS(memo == nullptr || &memo->tech() == &tech);
-
-  // Per-call fallback memo: the module functions are pure, so routing the
-  // scalar path through an empty memo costs one map insert per module and
-  // keeps the census logic single-sourced.  Constructed lazily so the
-  // batched hot path (which always supplies a memo) doesn't pay for it.
-  std::optional<ModuleCostMemo> local;
-  ModuleCostMemo& m = memo ? *memo : local.emplace(tech);
 
   MacroCensus census;
   census.n = dp.n;
@@ -140,23 +75,27 @@ MacroCensus census_macro(const Technology& tech, const DesignPoint& dp,
   census.add(MacroComponent::kSram, sram, dp.n * dp.h * dp.l);
 
   // Compute units: per cell one L:1 1-bit weight selector + a 1xk multiplier.
-  const ModuleCost& wsel = m.sel(static_cast<int>(dp.l));
-  const ModuleCost& mul = m.mul(k);
+  const ModuleCost wsel = sel_cost(tech, static_cast<int>(dp.l));
+  const ModuleCost mul = mul_cost(tech, k);
   census.add(MacroComponent::kCompute, wsel, dp.n * dp.h);
   census.add(MacroComponent::kCompute, mul, dp.n * dp.h);
 
   // Column adder trees (optionally pipelined — extension knob).
-  const ModuleCost& tree = m.adder_tree(h, k, dp.pipelined_tree);
+  const ModuleCost tree = dp.pipelined_tree
+                              ? adder_tree_pipelined_cost(tech, h, k)
+                              : adder_tree_cost(tech, h, k);
   census.add(MacroComponent::kAdderTree, tree, dp.n);
 
   // Shift accumulators (gated when the tree is pipelined).
-  const ModuleCost& accu = m.shift_accumulator(census.bx, h, dp.pipelined_tree);
+  const ModuleCost accu = dp.pipelined_tree
+                              ? shift_accumulator_gated_cost(tech, census.bx, h)
+                              : shift_accumulator_cost(tech, census.bx, h);
   census.add(MacroComponent::kAccumulator, accu, dp.n);
 
   // Result fusion: one unit per Bw columns; fires once per streamed operand,
   // amortized over the streaming cycles.
   const int w = accumulator_width(census.bx, h);
-  const ModuleCost& fusion = m.result_fusion(census.bw, w);
+  const ModuleCost fusion = result_fusion_cost(tech, census.bw, w);
   const std::int64_t fusion_units = static_cast<std::int64_t>(
       ceil_div(static_cast<std::uint64_t>(dp.n),
                static_cast<std::uint64_t>(census.bw)));
@@ -164,7 +103,7 @@ MacroCensus census_macro(const Technology& tech, const DesignPoint& dp,
              1.0 / static_cast<double>(census.cycles));
 
   // Input buffer.
-  const ModuleCost& buf = m.input_buffer(h, census.bx, k);
+  const ModuleCost buf = input_buffer_cost(tech, h, census.bx, k);
   census.add(MacroComponent::kInputBuffer, buf, 1);
 
   census.array_path_delay = buf.delay + wsel.delay + mul.delay + tree.delay;
@@ -178,7 +117,7 @@ MacroCensus census_macro(const Technology& tech, const DesignPoint& dp,
     // FP pre-alignment: processes a fresh input set once per streamed
     // operand; amortized over the streaming cycles (a division, not a
     // reciprocal multiply — the energy_div slot keeps that rounding).
-    const ModuleCost& alig = m.pre_alignment(h, be, bm);
+    const ModuleCost alig = pre_alignment_cost(tech, h, be, bm);
     census.add(MacroComponent::kPreAlignment, alig, 1, 1.0,
                static_cast<double>(census.cycles));
     // The pre-alignment is its own pipeline stage in front of the array.
@@ -186,7 +125,7 @@ MacroCensus census_macro(const Technology& tech, const DesignPoint& dp,
 
     // INT-to-FP converters: one per fusion unit, on the fusion stage.
     const int br = fusion_output_width(census.bw, w);
-    const ModuleCost& convert = m.int_to_fp(br, be);
+    const ModuleCost convert = int_to_fp_cost(tech, br, be);
     census.add(MacroComponent::kIntToFp, convert, fusion_units, 1.0,
                static_cast<double>(census.cycles));
     census.fusion_delay += convert.delay;
@@ -205,8 +144,6 @@ CostedMacro cost_components(const MacroCensus& census) {
     const double area = use.unit.area * static_cast<double>(use.copies);
     const double energy = use.unit.energy * static_cast<double>(use.copies) *
                           use.energy_mul / use.energy_div;
-    costed.area += area;
-    costed.energy_per_cycle += energy;
     const auto slot = static_cast<std::size_t>(use.component);
     costed.area_by[slot] += area;
     costed.energy_by[slot] += energy;
@@ -218,31 +155,51 @@ CostedMacro cost_components(const MacroCensus& census) {
 // ------------------------------------------------------ stage 4: derive
 
 MacroMetrics derive_metrics(const EvalContext& ctx, const MacroCensus& census,
-                            const CostedMacro& costed) {
+                            const CostedMacro& costed,
+                            const MetricCorrection& c) {
   MacroMetrics m;
   m.gates = costed.gates;
-  m.area_gates = costed.area;
-  m.energy_gates = costed.energy_per_cycle;
-  m.delay_gates = std::max(
+
+  // Module factors fold in per census part, in the accumulation order of
+  // cost_components.
+  double area_g = 0.0;
+  double energy_g = 0.0;
+  for (int i = 0; i < census.part_count; ++i) {
+    const ComponentUse& use = census.parts[static_cast<std::size_t>(i)];
+    const auto slot = static_cast<std::size_t>(use.component);
+    const double area = use.unit.area * static_cast<double>(use.copies);
+    const double energy = use.unit.energy * static_cast<double>(use.copies) *
+                          use.energy_mul / use.energy_div;
+    area_g += c.area_factor[slot] * area;
+    energy_g += c.energy_factor[slot] * energy;
+  }
+  const double delay_g = std::max(
       {census.array_path_delay, census.accu_delay, census.fusion_delay});
+  m.area_gates = c.area_scale * area_g;
+  m.energy_gates = c.energy_scale * energy_g;
+  m.delay_gates = c.delay_scale * delay_g;
   for (int i = 0; i < kMacroComponentCount; ++i) {
     const auto slot = static_cast<std::size_t>(i);
     if (!costed.present[slot]) continue;
     const char* key = macro_component_name(static_cast<MacroComponent>(i));
-    m.area_breakdown[key] = costed.area_by[slot];
-    m.energy_breakdown[key] = costed.energy_by[slot];
+    m.area_breakdown[key] =
+        c.area_scale * (c.area_factor[slot] * costed.area_by[slot]);
+    m.energy_breakdown[key] =
+        c.energy_scale * (c.energy_factor[slot] * costed.energy_by[slot]);
   }
   m.cycles_per_input = census.cycles;
 
-  m.area_um2 = ctx.area_um2(m.area_gates);
-  m.area_mm2 = m.area_um2 * 1e-6;
-  m.delay_ns = ctx.delay_ns(m.delay_gates);
+  m.area_um2 = c.area_scale * ctx.area_um2(area_g);
+  m.area_mm2 = c.area_scale * (ctx.area_um2(area_g) * 1e-6);
+  m.delay_ns = c.delay_scale * ctx.delay_ns(delay_g);
   SEGA_ASSERT(m.delay_ns > 0.0);
   m.freq_ghz = 1.0 / m.delay_ns;
-  m.energy_per_cycle_fj = ctx.energy_fj(m.energy_gates);
+  const double cycle_raw = ctx.energy_fj(energy_g);
+  m.energy_per_cycle_fj = c.energy_scale * cycle_raw;
+  m.energy_per_mvm_nj =
+      c.energy_scale *
+      (cycle_raw * static_cast<double>(m.cycles_per_input) * 1e-6);
   m.power_w = m.energy_per_cycle_fj * 1e-15 / (m.delay_ns * 1e-9);
-  m.energy_per_mvm_nj = m.energy_per_cycle_fj *
-                        static_cast<double>(m.cycles_per_input) * 1e-6;
 
   // Throughput (Table V/VI): every group of Bw columns completes N*H/Bw
   // MACs per ceil(Bx/k) cycles; 1 MAC = 2 ops.
@@ -251,7 +208,7 @@ MacroMetrics derive_metrics(const EvalContext& ctx, const MacroCensus& census,
       (static_cast<double>(census.bw) *
        static_cast<double>(m.cycles_per_input));
   const double ops_per_s = 2.0 * macs_per_cycle / (m.delay_ns * 1e-9);
-  m.throughput_tops = ops_per_s * 1e-12;
+  m.throughput_tops = c.throughput_scale * (ops_per_s * 1e-12);
   m.tops_per_w = m.throughput_tops / m.power_w;
   m.tops_per_mm2 = m.throughput_tops / m.area_mm2;
   return m;

@@ -5,27 +5,25 @@
 // optimizer minimizes [area, delay, energy, -throughput] as produced here
 // (eq. (2) for MUL-CIM and eq. (3) for FP-CIM).
 //
-// The evaluation is an explicit staged pipeline (the layered engine the
-// batched CostModel builds on):
+// The evaluation is an explicit staged pipeline:
 //
 //   EvalContext        — per-(Technology, EvalConditions) constants, hoisted
 //                        out of the per-point hot path (eval_context.h)
 //   census_macro       — gate census: which module instances the macro is
 //                        made of, with unit costs, copy counts and energy
 //                        amortization (Table IV structure)
-//   cost_components    — component costing: fold the census into normalized
-//                        area / per-cycle energy / leaf-cell totals
-//   derive_metrics     — absolute-metric derivation through the EvalContext
+//   cost_components    — component costing: fold the census into the
+//                        leaf-cell total and the per-component breakdown
+//   derive_metrics     — absolute-metric derivation through the EvalContext,
+//                        under a MetricCorrection (identity by default)
 //
-// evaluate_macro() composes the stages and is the scalar reference path;
-// AnalyticCostModel::evaluate_batch (cost_model.h) runs the same stages per
-// point under a per-batch module-cost memo, producing bit-identical metrics.
+// evaluate_macro() composes the stages; AnalyticCostModel (cost_model.h)
+// runs the same stages per point under its calibration's correction.
 #pragma once
 
 #include <array>
 #include <map>
 #include <string>
-#include <tuple>
 
 #include "arch/design_point.h"
 #include "cost/components.h"
@@ -91,32 +89,27 @@ inline constexpr int kMacroComponentCount = 8;
 /// Breakdown-map key of a component ("sram", "compute", ...).
 const char* macro_component_name(MacroComponent component);
 
-/// Memo of Table II/IV module costs keyed on their structural parameters.
-/// The batched evaluation path shares one memo across a batch: neighbouring
-/// design points reuse the same selectors, trees and accumulators, so most
-/// census lookups become map hits.  Bound to one Technology; NOT thread-safe
-/// (use one memo per batch/thread).
-class ModuleCostMemo {
- public:
-  explicit ModuleCostMemo(const Technology& tech) : tech_(&tech) {}
+/// Multiplicative corrections on the analytic model: the fitted parameters
+/// of a calibration (calibrate.h).  A default-constructed correction is the
+/// identity — every factor and scale 1.0 — and multiplying by 1.0 is exact,
+/// so deriving under it gives the uncalibrated metrics bit for bit.
+struct MetricCorrection {
+  /// Factors on the per-module area / per-cycle energy breakdown entries,
+  /// indexed by MacroComponent.
+  std::array<double, kMacroComponentCount> area_factor;
+  std::array<double, kMacroComponentCount> energy_factor;
+  /// Corrections applied to the final headline metrics (area_mm2 /
+  /// delay_ns / energy_per_mvm_nj / throughput_tops and every quantity
+  /// derived from them).
+  double area_scale = 1.0;
+  double delay_scale = 1.0;
+  double energy_scale = 1.0;
+  double throughput_scale = 1.0;
 
-  const Technology& tech() const { return *tech_; }
-
-  const ModuleCost& sel(int n);
-  const ModuleCost& mul(int k);
-  const ModuleCost& adder_tree(int h, int k, bool pipelined);
-  const ModuleCost& shift_accumulator(int bx, int h, bool gated);
-  const ModuleCost& result_fusion(int bw, int w);
-  const ModuleCost& input_buffer(int h, int bx, int k);
-  const ModuleCost& pre_alignment(int h, int be, int bm);
-  const ModuleCost& int_to_fp(int br, int be);
-
- private:
-  const Technology* tech_;
-  std::map<int, ModuleCost> sel_, mul_;
-  std::map<std::tuple<int, int, bool>, ModuleCost> tree_, accu_;
-  std::map<std::tuple<int, int>, ModuleCost> fusion_, convert_;
-  std::map<std::tuple<int, int, int>, ModuleCost> buffer_, align_;
+  MetricCorrection() {
+    area_factor.fill(1.0);
+    energy_factor.fill(1.0);
+  }
 };
 
 /// One module-instance class in the census: @p copies instances of @p unit,
@@ -154,15 +147,11 @@ struct MacroCensus {
 
 /// Gate census of a validated design point.  Precondition: dp passes
 /// validate_design for its own wstore() (structure is self-consistent).
-/// @p memo, when given, must be bound to @p tech.
-MacroCensus census_macro(const Technology& tech, const DesignPoint& dp,
-                         ModuleCostMemo* memo = nullptr);
+MacroCensus census_macro(const Technology& tech, const DesignPoint& dp);
 
-/// Stage-3 output: normalized totals and per-component breakdown.
+/// Stage-3 output: leaf-cell total and per-component breakdown.
 struct CostedMacro {
   GateCount gates;
-  double area = 0.0;
-  double energy_per_cycle = 0.0;
   std::array<double, kMacroComponentCount> area_by{};
   std::array<double, kMacroComponentCount> energy_by{};
   std::array<bool, kMacroComponentCount> present{};
@@ -172,12 +161,17 @@ struct CostedMacro {
 /// census part order — the historical evaluate_macro order).
 CostedMacro cost_components(const MacroCensus& census);
 
-/// Stage 4: absolute metrics through the hoisted context.
+/// Stage 4: absolute metrics through the hoisted context, with @p correction
+/// applied: module factors on the component breakdowns, then the per-metric
+/// scales on the final metrics, each as one trailing multiply (so metric ==
+/// scale * unscaled_metric bit-exactly — the fitter's envelope guard relies
+/// on this).
 MacroMetrics derive_metrics(const EvalContext& ctx, const MacroCensus& census,
-                            const CostedMacro& costed);
+                            const CostedMacro& costed,
+                            const MetricCorrection& correction = {});
 
-/// Evaluate a validated design point — the scalar reference path, composing
-/// the four stages above.
+/// Evaluate a validated design point under the uncalibrated model,
+/// composing the four stages above.
 MacroMetrics evaluate_macro(const Technology& tech, const DesignPoint& dp,
                             const EvalConditions& cond = {});
 

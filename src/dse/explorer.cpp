@@ -45,18 +45,6 @@ std::vector<std::size_t> non_dominated_designs(
   return non_dominated_indices(ObjectiveRows(rows.data(), designs.size(), cols));
 }
 
-/// Batch objective adapter over a memoizing cache.
-BatchObjectiveFn batch_objective(CostCache& cache) {
-  return [&cache](Span<const DesignPoint> points, Span<Objectives> out) {
-    std::vector<MacroMetrics> metrics(points.size());
-    cache.evaluate_batch(points, Span<MacroMetrics>(metrics));
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      const auto arr = metrics[i].objectives();
-      out[i] = Objectives(arr.begin(), arr.end());
-    }
-  };
-}
-
 }  // namespace
 
 Objectives EvaluatedDesign::objectives() const {
@@ -89,8 +77,7 @@ std::vector<EvaluatedDesign> explore_nsga2(const DesignSpace& space,
                                            CostCache& cache,
                                            const Nsga2Options& options,
                                            Nsga2Stats* stats) {
-  const auto points = nsga2_optimize(space, batch_objective(cache), options,
-                                     stats);
+  const auto points = nsga2_optimize(space, cache, options, stats);
   // Materialize the front in one batch — every point is warm in the cache.
   std::vector<MacroMetrics> metrics(points.size());
   cache.evaluate_batch(Span<const DesignPoint>(points),

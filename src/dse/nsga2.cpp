@@ -1,9 +1,11 @@
 #include "dse/nsga2.h"
 
 #include <algorithm>
+#include <array>
 #include <memory>
 #include <numeric>
 
+#include "cost/cost_model.h"
 #include "util/assert.h"
 #include "util/threadpool.h"
 
@@ -104,16 +106,16 @@ Genome random_genome(const DesignSpace& space, Rng& rng) {
 /// row-major objective buffer.
 struct Archive {
   static constexpr std::size_t kNone = ~std::size_t{0};
+  static constexpr std::size_t kCols = 4;  ///< MacroMetrics::objectives()
 
   explicit Archive(std::size_t genome_ids) : slot_of(genome_ids, kNone) {}
 
   std::vector<std::size_t> slot_of;  ///< by genome id; kNone = not archived
   std::vector<DesignPoint> points;   ///< by slot
   std::vector<double> rows;          ///< objectives by slot, row-major
-  std::size_t cols = 0;              ///< objectives per row
 
   std::size_t size() const { return points.size(); }
-  ObjectiveRows objectives() const { return {rows.data(), size(), cols}; }
+  ObjectiveRows objectives() const { return {rows.data(), size(), kCols}; }
 };
 
 /// One batch of feasible (genome, decoded point) candidates.  Batches are
@@ -139,7 +141,7 @@ struct CandidateBatch {
 /// their objective rows appended in that same fixed order — so archive
 /// contents and stats->evaluations are bit-identical for every thread count
 /// and chunking.
-void fold_batch(const BatchObjectiveFn& objective, const CandidateBatch& batch,
+void fold_batch(const CostModel& model, const CandidateBatch& batch,
                 Archive* archive, Nsga2Stats* stats, ThreadPool& pool) {
   const std::size_t first = archive->size();
   for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -150,16 +152,16 @@ void fold_batch(const BatchObjectiveFn& objective, const CandidateBatch& batch,
   }
   const std::size_t cold = archive->size() - first;
   const DesignPoint* points = archive->points.data() + first;
-  std::vector<Objectives> results(cold);
+  std::vector<MacroMetrics> metrics(cold);
   pool.parallel_for_chunks(
       cold, kDseEvalChunk, [&](std::size_t begin, std::size_t end) {
-        objective(Span<const DesignPoint>(points + begin, end - begin),
-                  Span<Objectives>(results.data() + begin, end - begin));
+        model.evaluate_batch(
+            Span<const DesignPoint>(points + begin, end - begin),
+            Span<MacroMetrics>(metrics.data() + begin, end - begin));
       });
-  for (const Objectives& r : results) {
-    if (archive->cols == 0) archive->cols = r.size();
-    SEGA_EXPECTS(!r.empty() && r.size() == archive->cols);
-    archive->rows.insert(archive->rows.end(), r.begin(), r.end());
+  for (const MacroMetrics& m : metrics) {
+    const std::array<double, Archive::kCols> row = m.objectives();
+    archive->rows.insert(archive->rows.end(), row.begin(), row.end());
   }
   stats->evaluations += static_cast<std::int64_t>(cold);
 }
@@ -332,21 +334,7 @@ class Ranking {
 }  // namespace
 
 std::vector<DesignPoint> nsga2_optimize(const DesignSpace& space,
-                                        const ObjectiveFn& objective,
-                                        const Nsga2Options& options,
-                                        Nsga2Stats* stats) {
-  SEGA_EXPECTS(objective != nullptr);
-  const BatchObjectiveFn batched = [&objective](Span<const DesignPoint> points,
-                                                Span<Objectives> out) {
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      out[i] = objective(points[i]);
-    }
-  };
-  return nsga2_optimize(space, batched, options, stats);
-}
-
-std::vector<DesignPoint> nsga2_optimize(const DesignSpace& space,
-                                        const BatchObjectiveFn& objective,
+                                        const CostModel& model,
                                         const Nsga2Options& options,
                                         Nsga2Stats* stats) {
   SEGA_EXPECTS(options.population >= 4);
@@ -379,7 +367,7 @@ std::vector<DesignPoint> nsga2_optimize(const DesignSpace& space,
     }
   }
   if (init.size() == 0) return {};
-  fold_batch(objective, init, &archive, stats, pool);
+  fold_batch(model, init, &archive, stats, pool);
   std::vector<Individual> pop = individuals_from(init, archive);
   ranking.rank_population(archive, &pop);
 
@@ -405,7 +393,7 @@ std::vector<DesignPoint> nsga2_optimize(const DesignSpace& space,
         }
       }
     }
-    fold_batch(objective, batch, &archive, stats, pool);
+    fold_batch(model, batch, &archive, stats, pool);
     const std::vector<Individual> offspring = individuals_from(batch, archive);
 
     // Environmental selection over parents + offspring.
@@ -426,11 +414,11 @@ std::vector<DesignPoint> nsga2_optimize(const DesignSpace& space,
     if (slot == Archive::kNone) continue;
     slots.push_back(slot);
     const double* row = archive.objectives().row(slot);
-    rows.insert(rows.end(), row, row + archive.cols);
+    rows.insert(rows.end(), row, row + Archive::kCols);
   }
   const auto keep =
       non_dominated_indices(ObjectiveRows{rows.data(), slots.size(),
-                                          archive.cols});
+                                          Archive::kCols});
   std::vector<DesignPoint> front;
   front.reserve(keep.size());
   for (const std::size_t i : keep) front.push_back(archive.points[slots[i]]);

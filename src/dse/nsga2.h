@@ -7,14 +7,14 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "arch/space.h"
 #include "dse/pareto.h"
-#include "util/span.h"
 
 namespace sega {
+
+class CostModel;
 
 struct Nsga2Options {
   int population = 64;
@@ -27,47 +27,31 @@ struct Nsga2Options {
   /// environment variable, else hardware concurrency); 1 = serial.  The
   /// result is bit-identical for every thread count: genome generation stays
   /// on one RNG stream and evaluations are pure functions reduced in a fixed
-  /// order.  When the effective count is > 1 the ObjectiveFn must be safe to
-  /// call concurrently.
+  /// order.
   int threads = 0;
 };
 
 /// Statistics of one NSGA-II run.
 struct Nsga2Stats {
   int generations_run = 0;
-  std::int64_t evaluations = 0;  ///< objective-function invocations
+  std::int64_t evaluations = 0;  ///< design points handed to the model
 };
 
-/// Objective callback: maps a valid design point to its minimization vector.
-using ObjectiveFn = std::function<Objectives(const DesignPoint&)>;
-
-/// Batched objective callback: fill out[i] with the minimization vector of
-/// points[i] for every i (the spans have equal size).  This is the hot entry
-/// point — the optimizer hands whole chunks of cold candidates to the cost
-/// engine, which amortizes per-batch work across them.  Called concurrently
-/// from pool tasks when the effective thread count is > 1.
-using BatchObjectiveFn =
-    std::function<void(Span<const DesignPoint>, Span<Objectives>)>;
-
-/// Largest chunk of design points a DSE pool task hands the cost engine as
-/// one batch — bounds per-task scratch while leaving the engine enough
-/// points to amortize its per-batch work over.  Shared by the NSGA-II inner
-/// loop and the explorer baselines so the two hot paths chunk identically.
+/// Largest chunk of design points a DSE pool task hands the cost model as
+/// one evaluate_batch call; it bounds per-task scratch.  A loop that runs
+/// inline takes whole chunks of this size, so a serial NSGA-II fold reaches
+/// the model (and a CostCache's locks) as one call.  Shared by the NSGA-II
+/// inner loop and the explorer baselines so the two hot paths chunk
+/// identically.
 inline constexpr std::size_t kDseEvalChunk = 64;
 
-/// Run NSGA-II over @p space.  Returns the final non-dominated set of
+/// Run NSGA-II over @p space, minimizing MacroMetrics::objectives() under
+/// @p model.  Candidate batches are deduplicated, split into contiguous
+/// chunks and evaluated chunk-per-task on the pool through
+/// CostModel::evaluate_batch.  Returns the final non-dominated set of
 /// *distinct* design points (duplicates removed).  @p stats is optional.
 std::vector<DesignPoint> nsga2_optimize(const DesignSpace& space,
-                                        const ObjectiveFn& objective,
-                                        const Nsga2Options& options,
-                                        Nsga2Stats* stats = nullptr);
-
-/// Batch-oriented flavour: identical semantics, results and stats for an
-/// objective that computes the same per-point vectors; candidate batches are
-/// deduplicated, split into contiguous chunks and evaluated chunk-per-task
-/// on the pool.
-std::vector<DesignPoint> nsga2_optimize(const DesignSpace& space,
-                                        const BatchObjectiveFn& objective,
+                                        const CostModel& model,
                                         const Nsga2Options& options,
                                         Nsga2Stats* stats = nullptr);
 

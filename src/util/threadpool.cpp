@@ -160,10 +160,13 @@ void ThreadPool::parallel_for_chunks(
   if (n == 0) return;
   SEGA_EXPECTS(fn != nullptr);
   SEGA_EXPECTS(max_chunk >= 1);
-  std::size_t chunk = (n + static_cast<std::size_t>(size_) * 4 - 1) /
-                      (static_cast<std::size_t>(size_) * 4);
-  if (chunk < 1) chunk = 1;
-  if (chunk > max_chunk) chunk = max_chunk;
+  // A loop that runs inline gains nothing from smaller ranges; one that
+  // fans out aims for ~4 chunks per thread so the tail load-balances.
+  std::size_t chunk = max_chunk;
+  if (size_ > 1 && !tl_inside_pool_task) {
+    const std::size_t target = static_cast<std::size_t>(size_) * 4;
+    chunk = std::min(max_chunk, (n + target - 1) / target);
+  }
   const std::size_t chunks = (n + chunk - 1) / chunk;
   parallel_for(chunks, [&](std::size_t c) {
     const std::size_t begin = c * chunk;

@@ -55,12 +55,14 @@ class ThreadPool {
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
   /// Run fn(begin, end) over contiguous index ranges covering [0, n), each
-  /// range a pool task; blocks until all ranges return.  The chunk size aims
-  /// for ~4 chunks per thread (so the tail load-balances) and never exceeds
-  /// @p max_chunk (so per-chunk scratch stays bounded).  This is the entry
-  /// point for batch-oriented work — the cost engine evaluates whole chunks
-  /// through CostModel::evaluate_batch instead of single points.  Chunking
-  /// never affects results: every index is still covered exactly once, and
+  /// range a pool task; blocks until all ranges return.  Ranges never
+  /// exceed @p max_chunk (so per-chunk scratch stays bounded).  A loop that
+  /// fans out aims for ~4 chunks per thread (so the tail load-balances); a
+  /// loop that runs inline — a size-1 pool, or a call from inside a pool
+  /// task — takes whole @p max_chunk ranges.  This is the entry point for
+  /// batch-oriented work — the cost engine evaluates whole chunks through
+  /// CostModel::evaluate_batch instead of single points.  Chunking never
+  /// affects results: every index is still covered exactly once, and
   /// callers write per-index slots.  Same reentrancy contract as
   /// parallel_for (nested calls run inline serially).
   void parallel_for_chunks(std::size_t n, std::size_t max_chunk,

@@ -105,86 +105,6 @@ std::vector<CalibrationSample> noisy_corpus(const Technology& tech,
   return corpus;
 }
 
-// --------------------------------------------------------------- the solver
-
-TEST(CalibrateTest, LeastSquaresRecoversExactCoefficients) {
-  // y = A x with known x and a well-conditioned A: the solution must come
-  // back to near machine precision, including under the solver's per-column
-  // scaling (columns of wildly different magnitude).
-  Rng rng(7);
-  const std::vector<double> truth = {3.25, -1.5, 1e-6};
-  std::vector<std::vector<double>> rows;
-  std::vector<double> y;
-  for (int i = 0; i < 12; ++i) {
-    std::vector<double> row = {
-        static_cast<double>(rng.uniform_int(1, 100)),
-        static_cast<double>(rng.uniform_int(-50, 50)),
-        static_cast<double>(rng.uniform_int(1, 9)) * 1e6};
-    double target = 0.0;
-    for (std::size_t j = 0; j < truth.size(); ++j) target += row[j] * truth[j];
-    rows.push_back(std::move(row));
-    y.push_back(target);
-  }
-  const auto x = least_squares_fit(rows, y);
-  ASSERT_EQ(x.size(), truth.size());
-  for (std::size_t j = 0; j < truth.size(); ++j) {
-    EXPECT_NEAR(x[j], truth[j], std::fabs(truth[j]) * 1e-9 + 1e-12) << j;
-    EXPECT_TRUE(std::isfinite(x[j]));
-  }
-}
-
-TEST(CalibrateTest, LeastSquaresRecoversNoisyCoefficients) {
-  // Seeded +/-1% multiplicative noise on the targets: the estimate must
-  // stay within a few percent of the generating coefficients.
-  Rng rng(11);
-  const std::vector<double> truth = {2.0, 0.5};
-  std::vector<std::vector<double>> rows;
-  std::vector<double> y;
-  for (int i = 0; i < 40; ++i) {
-    std::vector<double> row = {
-        static_cast<double>(rng.uniform_int(1, 100)),
-        static_cast<double>(rng.uniform_int(1, 100))};
-    double target = row[0] * truth[0] + row[1] * truth[1];
-    target *= 1.0 + static_cast<double>(rng.uniform_int(-10, 10)) / 1000.0;
-    rows.push_back(std::move(row));
-    y.push_back(target);
-  }
-  const auto x = least_squares_fit(rows, y);
-  ASSERT_EQ(x.size(), 2u);
-  EXPECT_NEAR(x[0], truth[0], 0.05 * truth[0]);
-  EXPECT_NEAR(x[1], truth[1], 0.05 * truth[1]);
-}
-
-TEST(CalibrateTest, LeastSquaresHardErrorsNeverNaN) {
-  // Every degenerate system is a hard error with a diagnostic — the solver
-  // must never return NaN/Inf coefficients.
-  const auto expect_throws = [](const std::vector<std::vector<double>>& rows,
-                                const std::vector<double>& y,
-                                const char* needle) {
-    try {
-      (void)least_squares_fit(rows, y);
-      FAIL() << "expected failure containing '" << needle << "'";
-    } catch (const std::runtime_error& e) {
-      EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
-          << e.what();
-    }
-  };
-  expect_throws({}, {}, "empty system");
-  expect_throws({{}}, {1.0}, "no coefficients");
-  expect_throws({{1.0}, {2.0}}, {1.0}, "mismatch");
-  expect_throws({{1.0, 2.0}, {1.0}}, {1.0, 2.0}, "ragged");
-  // Underdetermined: one observation, two coefficients.
-  expect_throws({{1.0, 2.0}}, {3.0}, "rank-deficient");
-  // Collinear columns (second is 3x the first).
-  expect_throws({{1.0, 3.0}, {2.0, 6.0}, {5.0, 15.0}}, {1.0, 2.0, 5.0},
-                "rank-deficient");
-  // A column that never appears in any observation.
-  expect_throws({{1.0, 0.0}, {2.0, 0.0}}, {1.0, 2.0}, "identically zero");
-  expect_throws({{1.0, std::nan("")}, {2.0, 1.0}}, {1.0, 2.0}, "non-finite");
-  expect_throws({{1.0, 1.0}, {2.0, 1.0}},
-                {std::numeric_limits<double>::infinity(), 2.0}, "non-finite");
-}
-
 // ------------------------------------------------------- calibrated deriving
 
 TEST(CalibrateTest, IdentityCalibrationIsBitIdentical) {

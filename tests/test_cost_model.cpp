@@ -126,24 +126,6 @@ TEST(CostModelTest, BatchOfOneAndEmptyBatchAreSafe) {
   expect_bitwise_equal(out[0], evaluate_macro(tech, dp));
 }
 
-TEST(CostModelTest, ModuleCostMemoIsTransparent) {
-  const Technology tech = Technology::tsmc28();
-  const DesignSpace space(1 << 13, precision_fp16());
-  ModuleCostMemo memo(tech);
-  const EvalContext ctx(tech, EvalConditions{});
-  // Repeated census through one shared memo must equal the memo-less path,
-  // entry for entry.
-  for (int pass = 0; pass < 2; ++pass) {
-    for (const DesignPoint& dp : space.enumerate_all()) {
-      const MacroCensus with = census_macro(tech, dp, &memo);
-      const MacroCensus without = census_macro(tech, dp);
-      expect_bitwise_equal(derive_metrics(ctx, with, cost_components(with)),
-                           derive_metrics(ctx, without,
-                                          cost_components(without)));
-    }
-  }
-}
-
 TEST(CostModelTest, DefaultBatchImplementationLoopsScalarEvaluate) {
   // A model that only implements evaluate() gets a correct batch path from
   // the base class.

@@ -7,31 +7,30 @@
 #include <set>
 
 #include "cost/cost_cache.h"
-#include "cost/macro_model.h"
 #include "dse/explorer.h"
 #include "util/strings.h"
 
 namespace sega {
 namespace {
 
-ObjectiveFn macro_objective(const Technology& tech) {
-  return [&tech](const DesignPoint& dp) {
-    const auto arr = evaluate_macro(tech, dp).objectives();
-    return Objectives(arr.begin(), arr.end());
-  };
+Objectives objectives_of(const CostModel& model, const DesignPoint& dp) {
+  const auto arr = model.evaluate(dp).objectives();
+  return Objectives(arr.begin(), arr.end());
 }
 
 TEST(Nsga2Test, ReturnsNonEmptyFront) {
   const Technology tech = Technology::tsmc28();
+  const AnalyticCostModel model(tech);
   DesignSpace space(8192, precision_int8());
-  const auto front = nsga2_optimize(space, macro_objective(tech), {});
+  const auto front = nsga2_optimize(space, model, {});
   EXPECT_FALSE(front.empty());
 }
 
 TEST(Nsga2Test, AllResultsAreValidDesigns) {
   const Technology tech = Technology::tsmc28();
+  const AnalyticCostModel model(tech);
   DesignSpace space(65536, precision_bf16());
-  const auto front = nsga2_optimize(space, macro_objective(tech), {});
+  const auto front = nsga2_optimize(space, model, {});
   for (const auto& dp : front) {
     const Validity v = validate_design(dp, 65536, space.limits());
     EXPECT_TRUE(v.ok) << dp.to_string() << ": " << v.reason;
@@ -40,11 +39,12 @@ TEST(Nsga2Test, AllResultsAreValidDesigns) {
 
 TEST(Nsga2Test, DeterministicForSeed) {
   const Technology tech = Technology::tsmc28();
+  const AnalyticCostModel model(tech);
   DesignSpace space(16384, precision_int4());
   Nsga2Options opt;
   opt.seed = 77;
-  const auto a = nsga2_optimize(space, macro_objective(tech), opt);
-  const auto b = nsga2_optimize(space, macro_objective(tech), opt);
+  const auto a = nsga2_optimize(space, model, opt);
+  const auto b = nsga2_optimize(space, model, opt);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_TRUE(a[i] == b[i]);
@@ -53,13 +53,14 @@ TEST(Nsga2Test, DeterministicForSeed) {
 
 TEST(Nsga2Test, ResultsAreMutuallyNonDominated) {
   const Technology tech = Technology::tsmc28();
+  const AnalyticCostModel model(tech);
   DesignSpace space(32768, precision_int8());
-  const auto front = nsga2_optimize(space, macro_objective(tech), {});
-  const auto obj = macro_objective(tech);
+  const auto front = nsga2_optimize(space, model, {});
   for (const auto& a : front) {
     for (const auto& b : front) {
       if (a == b) continue;
-      EXPECT_FALSE(dominates(obj(a), obj(b)))
+      EXPECT_FALSE(
+          dominates(objectives_of(model, a), objectives_of(model, b)))
           << a.to_string() << " dominates " << b.to_string();
     }
   }
@@ -67,8 +68,9 @@ TEST(Nsga2Test, ResultsAreMutuallyNonDominated) {
 
 TEST(Nsga2Test, NoDuplicatesInFront) {
   const Technology tech = Technology::tsmc28();
+  const AnalyticCostModel model(tech);
   DesignSpace space(16384, precision_int8());
-  const auto front = nsga2_optimize(space, macro_objective(tech), {});
+  const auto front = nsga2_optimize(space, model, {});
   std::set<std::string> seen;
   for (const auto& dp : front) {
     EXPECT_TRUE(seen.insert(dp.to_string()).second) << dp.to_string();
@@ -77,12 +79,13 @@ TEST(Nsga2Test, NoDuplicatesInFront) {
 
 TEST(Nsga2Test, TracksEvaluationStats) {
   const Technology tech = Technology::tsmc28();
+  const AnalyticCostModel model(tech);
   DesignSpace space(8192, precision_int8());
   Nsga2Options opt;
   opt.population = 16;
   opt.generations = 10;
   Nsga2Stats stats;
-  nsga2_optimize(space, macro_objective(tech), opt, &stats);
+  nsga2_optimize(space, model, opt, &stats);
   EXPECT_EQ(stats.generations_run, 10);
   // Distinct genomes are evaluated once (archive caching), so the count is
   // bounded by initial population + offspring, and at least the population.

@@ -6,6 +6,7 @@
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 namespace sega {
@@ -155,6 +156,31 @@ TEST(ThreadPoolTest, NestedParallelForChunksRunsInline) {
       ASSERT_EQ(slots[o][i].load(), 1) << "outer " << o << " inner " << i;
     }
   }
+}
+
+TEST(ThreadPoolTest, InlineParallelForChunksUsesFullChunks) {
+  // A loop that runs inline gains nothing from splitting: on a size-1 pool,
+  // and nested inside another pool's task, n = 100 with max_chunk 64 is
+  // exactly [0, 64) and [64, 100).
+  using Ranges = std::vector<std::pair<std::size_t, std::size_t>>;
+  const Ranges expected = {{0, 64}, {64, 100}};
+  const auto ranges_of = [](ThreadPool& pool) {
+    Ranges ranges;
+    pool.parallel_for_chunks(100, 64, [&](std::size_t begin, std::size_t end) {
+      ranges.emplace_back(begin, end);
+    });
+    return ranges;
+  };
+
+  ThreadPool serial(1);
+  EXPECT_EQ(ranges_of(serial), expected);
+
+  ThreadPool outer(4);
+  ThreadPool inner(4);
+  std::vector<Ranges> nested(4);
+  outer.parallel_for(nested.size(),
+                     [&](std::size_t i) { nested[i] = ranges_of(inner); });
+  for (const Ranges& ranges : nested) EXPECT_EQ(ranges, expected);
 }
 
 TEST(ThreadPoolTest, DefaultThreadsHonorsEnvOverride) {
