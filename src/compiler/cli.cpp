@@ -197,6 +197,36 @@ CostCache* shared_cache_for(const CliHooks& hooks, const EvalConfig& eval) {
   return hooks.cache_for ? hooks.cache_for(eval) : nullptr;
 }
 
+/// One report file under --out: its name and its full text.
+struct OutFile {
+  std::string name;
+  std::string text;
+};
+
+/// The one --out writer: create @p dir, then write, close and check each
+/// file in order.  False after the diagnostic — a report the user asked
+/// for must never go missing silently.
+bool write_out_files(const std::filesystem::path& dir,
+                     const std::vector<OutFile>& files, std::ostream& err) {
+  std::error_code ec;
+  std::filesystem::create_directories(dir, ec);
+  if (ec) {
+    err << "cannot create output directory '" << dir.string() << "'\n";
+    return false;
+  }
+  for (const OutFile& file : files) {
+    const std::filesystem::path path = dir / file.name;
+    std::ofstream f(path);
+    f << file.text;
+    f.close();
+    if (!f) {
+      err << "cannot write '" << path.string() << "'\n";
+      return false;
+    }
+  }
+  return true;
+}
+
 int cmd_compile(const std::map<std::string, std::string>& flags,
                 std::ostream& out, std::ostream& err, const CliHooks& hooks) {
   if (!flags.count("spec") || !flags.count("out")) {
@@ -228,34 +258,17 @@ int cmd_compile(const std::map<std::string, std::string>& flags,
   }
 
   const std::filesystem::path outdir = flags.at("out");
-  std::error_code ec;
-  std::filesystem::create_directories(outdir, ec);
-  if (ec) {
-    err << "cannot create output directory '" << outdir.string() << "'\n";
-    return 2;
-  }
-  {
-    std::ofstream f(outdir / "report.json");
-    f << result.report().dump(2) << "\n";
-  }
-  {
-    std::ofstream f(outdir / "front.txt");
-    f << result.summary();
-  }
+  std::vector<OutFile> files = {{"report.json", result.report().dump(2) + "\n"},
+                                {"front.txt", result.summary()}};
   for (std::size_t i = 0; i < result.selected.size(); ++i) {
     const auto& sel = result.selected[i];
     const std::string base = strfmt(
         "design%zu_%s", i,
         to_verilog_identifier(sel.design.point.to_string()).c_str());
-    if (!sel.verilog.empty()) {
-      std::ofstream f(outdir / (base + ".v"));
-      f << sel.verilog;
-    }
-    if (!sel.def.empty()) {
-      std::ofstream f(outdir / (base + ".def"));
-      f << sel.def;
-    }
+    if (!sel.verilog.empty()) files.push_back({base + ".v", sel.verilog});
+    if (!sel.def.empty()) files.push_back({base + ".def", sel.def});
   }
+  if (!write_out_files(outdir, files, err)) return 2;
   out << result.summary();
   out << strfmt("\nwrote %zu artifact set(s) to %s\n", result.selected.size(),
                 outdir.string().c_str());
@@ -425,19 +438,11 @@ int write_sweep_outputs(const SweepResult& result,
                         std::ostream& out, std::ostream& err) {
   if (flags.count("out")) {
     const std::filesystem::path outdir = flags.at("out");
-    std::error_code ec;
-    std::filesystem::create_directories(outdir, ec);
-    if (ec) {
-      err << "cannot create output directory '" << outdir.string() << "'\n";
+    if (!write_out_files(outdir,
+                         {{"sweep.json", result.to_json().dump(2) + "\n"},
+                          {"sweep.csv", result.to_csv()}},
+                         err)) {
       return 2;
-    }
-    {
-      std::ofstream f(outdir / "sweep.json");
-      f << result.to_json().dump(2) << "\n";
-    }
-    {
-      std::ofstream f(outdir / "sweep.csv");
-      f << result.to_csv();
     }
     err << strfmt("wrote %zu cell(s) to %s/sweep.{csv,json}\n",
                   result.cells.size(), outdir.string().c_str());
@@ -581,22 +586,15 @@ int cmd_orchestrate(const std::map<std::string, std::string>& flags,
   err << report.render();
   if (flags.count("out")) {
     const std::filesystem::path outdir = flags.at("out");
-    std::error_code ec;
-    std::filesystem::create_directories(outdir, ec);
-    if (ec) {
-      err << "cannot create output directory '" << outdir.string() << "'\n";
-      return 2;
-    }
-    std::ofstream f(outdir / "orchestrate.json");
-    f << report.to_json().dump(2) << "\n";
+    const std::string json = report.to_json().dump(2) + "\n";
+    if (!write_out_files(outdir, {{"orchestrate.json", json}}, err)) return 2;
   }
   if (!report.success) return 1;
   return write_sweep_outputs(result, flags, out, err);
 }
 
-/// Rewrite a base memo plus its shard deltas into one deduplicated memo —
-/// streamed (no metrics materialized), byte-identical to loading every
-/// source into one cache and saving it.
+/// Rewrite a base memo plus its shard deltas into one deduplicated memo,
+/// byte-identical to loading every source into one cache and saving it.
 int cmd_memo_compact(const std::map<std::string, std::string>& flags,
                      std::ostream& out, std::ostream& err) {
   if (!flags.count("cache-file")) {
@@ -706,20 +704,12 @@ int cmd_validate(const std::map<std::string, std::string>& flags,
     }
     if (flags.count("out")) {
       const std::filesystem::path outdir = flags.at("out");
-      std::error_code ec;
-      std::filesystem::create_directories(outdir, ec);
-      if (ec) {
-        err << "cannot create output directory '" << outdir.string()
-            << "'\n";
+      if (!write_out_files(
+              outdir,
+              {{"calibrate.json", creport->to_json().dump(2) + "\n"},
+               {"calibrate.csv", creport->to_csv()}},
+              err)) {
         return 2;
-      }
-      {
-        std::ofstream f(outdir / "calibrate.json");
-        f << creport->to_json().dump(2) << "\n";
-      }
-      {
-        std::ofstream f(outdir / "calibrate.csv");
-        f << creport->to_csv();
       }
       err << strfmt("wrote the calibration report to "
                     "%s/calibrate.{csv,json}\n",
@@ -744,19 +734,11 @@ int cmd_validate(const std::map<std::string, std::string>& flags,
 
   if (flags.count("out")) {
     const std::filesystem::path outdir = flags.at("out");
-    std::error_code ec;
-    std::filesystem::create_directories(outdir, ec);
-    if (ec) {
-      err << "cannot create output directory '" << outdir.string() << "'\n";
+    if (!write_out_files(outdir,
+                         {{"validate.json", report.to_json().dump(2) + "\n"},
+                          {"validate.csv", report.to_csv()}},
+                         err)) {
       return 2;
-    }
-    {
-      std::ofstream f(outdir / "validate.json");
-      f << report.to_json().dump(2) << "\n";
-    }
-    {
-      std::ofstream f(outdir / "validate.csv");
-      f << report.to_csv();
     }
     err << strfmt("wrote %zu knee comparison(s) to %s/validate.{csv,json}\n",
                   report.rows.size(), outdir.string().c_str());
@@ -883,10 +865,12 @@ int run_cli_hooked(const std::vector<std::string>& args, std::ostream& out,
     return cmd_validate(flags, out, err, hooks);
   }
   if (command == "precisions") {
+    if (!check_known(flags, {}, err)) return 2;
     for (const auto& p : all_precisions()) out << p.name << "\n";
     return 0;
   }
   if (command == "techlib") {
+    if (!check_known(flags, {}, err)) return 2;
     out << write_techlib(Technology::tsmc28());
     return 0;
   }

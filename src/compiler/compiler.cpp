@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <filesystem>
 #include <limits>
 
 #include "cost/cost_cache.h"
@@ -140,10 +139,8 @@ CompilerResult Compiler::run(const CompilerSpec& spec, CostCache* cache,
   if (!model) return compiler_fail(eval_error, error);
   CostCache local(std::move(model));
   std::string cache_error;
-  std::error_code ec;
   if (!spec.cache_file.empty() &&
-      std::filesystem::exists(spec.cache_file, ec) &&
-      !local.load(spec.cache_file, &cache_error)) {
+      !local.load_existing({spec.cache_file}, &cache_error)) {
     return compiler_fail(cache_error, error);
   }
   CompilerResult result = run_impl(spec, local);

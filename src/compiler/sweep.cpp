@@ -10,11 +10,9 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <thread>
 #include <utility>
 
@@ -395,33 +393,99 @@ SweepResult checkpoint_fail(const std::string& msg, std::string* error) {
   std::abort();
 }
 
-/// Stream a checkpoint's non-empty lines.  The first is handed to
-/// @p on_header (nullopt when unparseable); its return decides whether the
-/// cell lines are read at all.  Every later line goes to @p on_line
-/// (nullopt when unparseable).  Both resume and --resume-summary read
-/// checkpoints through this one walker, so the line protocol cannot drift
-/// between them.  Returns false only when the file cannot be opened;
-/// *saw_header reports whether any content line existed (a file killed
-/// before the header flush has none).
-bool walk_checkpoint(
-    const std::string& path, bool* saw_header,
-    const std::function<bool(const std::optional<Json>&)>& on_header,
-    const std::function<void(const std::optional<Json>&)>& on_line) {
-  *saw_header = false;
+/// What one pass over a checkpoint file found.
+struct CheckpointScan {
+  bool readable = false;     ///< the file could be opened
+  bool have_header = false;  ///< any content line existed (a file killed
+                             ///< before the header flush has none)
+  HeaderCheck verdict = HeaderCheck::kOk;
+  /// By grid id: the cell recovered from the first valid line naming it,
+  /// for the cells the scanned shard owns.
+  std::vector<std::optional<RecoveredCell>> cells;
+  std::size_t stale_lines = 0;    ///< valid lines outside the grid or shard
+  std::size_t corrupt_lines = 0;  ///< unparseable or invalid cell lines
+};
+
+/// The one checkpoint reader: resume, merge and --resume-summary all scan
+/// through it, so the line protocol and the duplicate policy cannot drift
+/// between them.  The first non-empty line is the header, checked against
+/// @p shard; the cell lines are scanned unless it is malformed.  A valid
+/// line naming a cell outside the grid or outside @p shard's slice is
+/// stale; for every owned cell the first valid line wins.  Nothing is
+/// evaluated: callers re-derive knee metrics for the cells they keep.
+CheckpointScan scan_checkpoint(const std::string& path, const SweepSpec& spec,
+                               const std::vector<GridCell>& grid,
+                               const Technology& tech, const Calibration* cal,
+                               const ShardSpec& shard) {
+  CheckpointScan scan;
+  scan.cells.resize(grid.size());
   std::ifstream in(path);
-  if (!in) return false;
+  if (!in) return scan;
+  scan.readable = true;
+  using CellKey = std::pair<std::int64_t, std::string>;
+  std::map<CellKey, std::optional<RecoveredCell>> owned;
+  for (std::size_t gi = 0; gi < grid.size(); ++gi) {
+    if (shard.owns(gi)) owned[{grid[gi].wstore, grid[gi].precision.name}];
+  }
   std::string line;
   while (std::getline(in, line)) {
     if (trim(line).empty()) continue;
     const auto parsed = Json::parse(line);
-    if (!*saw_header) {
-      *saw_header = true;
-      if (!on_header(parsed)) return true;
+    if (!scan.have_header) {
+      scan.have_header = true;
+      scan.verdict = check_header(parsed, spec, tech, cal, shard);
+      if (scan.verdict == HeaderCheck::kMalformed) break;
       continue;
     }
-    on_line(parsed);
+    RecoveredCell rc;
+    if (!parsed || !recover_cell(*parsed, spec, &rc)) {
+      ++scan.corrupt_lines;
+      continue;
+    }
+    const auto it = owned.find({rc.cell.wstore, rc.cell.precision.name});
+    if (it == owned.end()) {
+      ++scan.stale_lines;
+    } else if (!it->second) {
+      it->second = std::move(rc);
+    }
   }
-  return true;
+  for (std::size_t gi = 0; gi < grid.size(); ++gi) {
+    if (!shard.owns(gi)) continue;
+    scan.cells[gi] = owned.at({grid[gi].wstore, grid[gi].precision.name});
+  }
+  return scan;
+}
+
+/// Coverage of @p shard's slice of the grid by a scan's recovered cells:
+/// the --resume-summary payload, and the report an incomplete merge
+/// carries.
+CheckpointSummary coverage_of(const CheckpointScan& scan,
+                              const SweepSpec& spec,
+                              const std::vector<GridCell>& grid,
+                              const ShardSpec& shard) {
+  CheckpointSummary summary;
+  // "Match" means resumable by this spec: same config fingerprint AND same
+  // shard identity.
+  summary.config_match = scan.verdict == HeaderCheck::kOk;
+  summary.stale_lines = scan.stale_lines;
+  summary.corrupt_lines = scan.corrupt_lines;
+  std::map<std::string, CheckpointPrecisionCoverage> by_precision;
+  for (std::size_t gi = 0; gi < grid.size(); ++gi) {
+    if (!shard.owns(gi)) continue;
+    CheckpointPrecisionCoverage& cov = by_precision[grid[gi].precision.name];
+    ++cov.total;
+    ++summary.cells_total;
+    if (scan.cells[gi]) {
+      ++cov.done;
+      ++summary.cells_done;
+    }
+  }
+  for (const Precision& precision : spec.precisions) {
+    CheckpointPrecisionCoverage cov = by_precision[precision.name];
+    cov.precision = precision.name;
+    summary.per_precision.push_back(std::move(cov));
+  }
+  return summary;
 }
 
 // ------------------------------------------------------- fault injection
@@ -589,20 +653,15 @@ SweepResult run_sweep(const Compiler& compiler, const SweepSpec& spec,
   if (!spec.cache_file.empty() && spec.shared_cache == nullptr) {
     std::vector<std::string> memo_sources = {spec.cache_file};
     if (memo_path != spec.cache_file) memo_sources.push_back(memo_path);
-    for (const std::string& path : memo_sources) {
-      std::error_code ec;
-      if (!std::filesystem::exists(path, ec)) continue;
-      std::string cache_error;
-      const bool is_base = spec.shard.active() && path == spec.cache_file;
-      if (!cache.load(path, &cache_error, /*mark_imported=*/is_base)) {
-        return checkpoint_fail(cache_error, error);
-      }
+    std::string cache_error;
+    if (!cache.load_existing(memo_sources, &cache_error,
+                             spec.shard.active() ? 1 : 0)) {
+      return checkpoint_fail(cache_error, error);
     }
   }
 
   // --- checkpoint load ---
-  using CellKey = std::pair<std::int64_t, std::string>;
-  std::map<CellKey, RecoveredCell> recovered;
+  std::vector<std::optional<RecoveredCell>> recovered(grid.size());
   std::unique_ptr<std::ofstream> ckpt;
   std::mutex ckpt_mu;
   if (!ckpt_path.empty()) {
@@ -614,44 +673,27 @@ SweepResult run_sweep(const Compiler& compiler, const SweepSpec& spec,
       // from a different sweep or a different slice of the grid must never
       // be mixed in.  Cell lines tolerate truncation/corruption (a killed
       // writer may leave a partial tail) by simply recomputing those cells.
-      HeaderCheck verdict = HeaderCheck::kOk;
-      const bool readable = walk_checkpoint(
-          ckpt_path, &have_header,
-          [&](const std::optional<Json>& header) {
-            verdict = check_header(header, spec, compiler.technology(),
-                                   calibration.get(), spec.shard);
-            return verdict == HeaderCheck::kOk;
-          },
-          [&](const std::optional<Json>& line) {
-            RecoveredCell rc;
-            if (!line || !recover_cell(*line, spec, &rc)) return;
-            // Metrics are never stored in the checkpoint: re-derive them
-            // through the pure cost model so recovery is bit-exact and
-            // immune to serialization rounding.
-            if (!rc.empty) {
-              rc.cell.knee.metrics = cache.evaluate(rc.cell.knee.point);
-            }
-            recovered[CellKey{rc.cell.wstore, rc.cell.precision.name}] =
-                std::move(rc);
-          });
-      if (!readable) {
+      CheckpointScan scan =
+          scan_checkpoint(ckpt_path, spec, grid, compiler.technology(),
+                          calibration.get(), spec.shard);
+      if (!scan.readable) {
         return checkpoint_fail(
             strfmt("cannot read checkpoint '%s'", ckpt_path.c_str()), error);
       }
-      if (verdict == HeaderCheck::kMalformed) {
+      if (scan.verdict == HeaderCheck::kMalformed) {
         return checkpoint_fail(
             strfmt("checkpoint '%s' has a missing or malformed header",
                    ckpt_path.c_str()),
             error);
       }
-      if (verdict == HeaderCheck::kConfigMismatch) {
+      if (scan.verdict == HeaderCheck::kConfigMismatch) {
         return checkpoint_fail(
             strfmt("checkpoint '%s' was written for a different sweep "
                    "configuration; delete it or fix the spec",
                    ckpt_path.c_str()),
             error);
       }
-      if (verdict == HeaderCheck::kShardMismatch) {
+      if (scan.verdict == HeaderCheck::kShardMismatch) {
         return checkpoint_fail(
             strfmt("checkpoint '%s' was written for a different shard of "
                    "this sweep (expected shard %d/%d); delete it or fix "
@@ -661,6 +703,8 @@ SweepResult run_sweep(const Compiler& compiler, const SweepSpec& spec,
       }
       // No content lines at all (a run killed before the header flush, or a
       // pre-created empty file): treat as fresh and write the header below.
+      have_header = scan.have_header;
+      recovered = std::move(scan.cells);
     }
     // A killed writer can leave a partial final line without a newline;
     // appending straight after it would merge the next cell into garbage.
@@ -698,12 +742,16 @@ SweepResult run_sweep(const Compiler& compiler, const SweepSpec& spec,
   for (std::size_t gi = 0; gi < grid.size(); ++gi) {
     if (!spec.shard.owns(gi)) continue;
     mine.push_back(gi);
-    const auto it = recovered.find(
-        CellKey{grid[gi].wstore, grid[gi].precision.name});
-    if (it != recovered.end()) {
-      slots[gi] = it->second;
-    } else {
+    if (!recovered[gi]) {
       todo.push_back(gi);
+      continue;
+    }
+    // Metrics are never stored in the checkpoint: re-derive them through
+    // the pure cost model so recovery is bit-exact and immune to
+    // serialization rounding.
+    slots[gi] = std::move(*recovered[gi]);
+    if (!slots[gi].empty) {
+      slots[gi].cell.knee.metrics = cache.evaluate(slots[gi].cell.knee.point);
     }
   }
 
@@ -901,21 +949,15 @@ SweepResult merge_sweep_shards(const Compiler& compiler, const SweepSpec& spec,
 
   // The same fixed grid (and cell-id space) the workers partitioned.
   const std::vector<GridCell> grid = build_grid(spec);
-  using CellKey = std::pair<std::int64_t, std::string>;
-  std::map<CellKey, std::size_t> cell_id;
-  for (std::size_t gi = 0; gi < grid.size(); ++gi) {
-    cell_id[CellKey{grid[gi].wstore, grid[gi].precision.name}] = gi;
-  }
 
   // --- read every shard checkpoint ---
   // Each shard file must carry this spec's config fingerprint AND identify
   // itself as exactly shard s of shard_count — a file from a different
   // sweep, or from a differently sized shard set, must never be merged.
-  std::vector<RecoveredCell> slots(grid.size());
-  std::vector<char> covered(grid.size(), 0);
+  // The shards own disjoint cells, so their scans fold into one.
+  CheckpointScan merged;
+  merged.cells.resize(grid.size());
   std::vector<int> missing;
-  std::size_t stale_lines = 0;
-  std::size_t corrupt_lines = 0;
   for (int s = 0; s < shard_count; ++s) {
     const ShardSpec shard{s, shard_count};
     const std::string path = effective_path(spec.checkpoint, shard);
@@ -924,55 +966,26 @@ SweepResult merge_sweep_shards(const Compiler& compiler, const SweepSpec& spec,
       missing.push_back(s);
       continue;
     }
-    bool have_header = false;
-    HeaderCheck verdict = HeaderCheck::kOk;
-    const bool readable = walk_checkpoint(
-        path, &have_header,
-        [&](const std::optional<Json>& header) {
-          verdict = check_header(header, spec, compiler.technology(),
-                                 calibration.get(), shard);
-          return verdict == HeaderCheck::kOk;
-        },
-        [&](const std::optional<Json>& line) {
-          if (!line) {
-            ++corrupt_lines;
-            return;
-          }
-          RecoveredCell rc;
-          if (!recover_cell(*line, spec, &rc)) {
-            ++corrupt_lines;
-            return;
-          }
-          const auto it = cell_id.find(
-              CellKey{rc.cell.wstore, rc.cell.precision.name});
-          // Cells outside the grid — or outside this shard's slice — are
-          // stale lines from some older file; they never become results.
-          if (it == cell_id.end() || !shard.owns(it->second)) {
-            ++stale_lines;
-            return;
-          }
-          if (covered[it->second]) return;  // duplicate line, first wins
-          covered[it->second] = 1;
-          slots[it->second] = std::move(rc);
-        });
-    if (!readable) {
+    CheckpointScan scan = scan_checkpoint(
+        path, spec, grid, compiler.technology(), calibration.get(), shard);
+    if (!scan.readable) {
       return checkpoint_fail(
           strfmt("cannot read shard checkpoint '%s'", path.c_str()), error);
     }
-    if (verdict == HeaderCheck::kMalformed || !have_header) {
+    if (scan.verdict == HeaderCheck::kMalformed || !scan.have_header) {
       return checkpoint_fail(
           strfmt("shard checkpoint '%s' has a missing or malformed header",
                  path.c_str()),
           error);
     }
-    if (verdict == HeaderCheck::kConfigMismatch) {
+    if (scan.verdict == HeaderCheck::kConfigMismatch) {
       return checkpoint_fail(
           strfmt("shard checkpoint '%s' was written for a different sweep "
                  "configuration; it cannot be merged under this spec",
                  path.c_str()),
           error);
     }
-    if (verdict == HeaderCheck::kShardMismatch) {
+    if (scan.verdict == HeaderCheck::kShardMismatch) {
       return checkpoint_fail(
           strfmt("shard checkpoint '%s' does not identify itself as shard "
                  "%d/%d — shard-set mismatch; merge with the shard count "
@@ -980,32 +993,20 @@ SweepResult merge_sweep_shards(const Compiler& compiler, const SweepSpec& spec,
                  path.c_str(), s, shard_count),
           error);
     }
+    for (std::size_t gi = 0; gi < grid.size(); ++gi) {
+      if (scan.cells[gi]) merged.cells[gi] = std::move(scan.cells[gi]);
+    }
+    merged.stale_lines += scan.stale_lines;
+    merged.corrupt_lines += scan.corrupt_lines;
   }
 
   // --- completeness ---
   // A missing shard or an uncovered cell makes the merge impossible; the
   // error carries the --resume-summary coverage report so the operator can
   // see exactly which slice to (re)run.
-  std::size_t done = 0;
-  for (std::size_t gi = 0; gi < grid.size(); ++gi) done += covered[gi] ? 1 : 0;
-  if (!missing.empty() || done != grid.size()) {
-    CheckpointSummary summary;
-    summary.config_match = true;
-    summary.cells_total = grid.size();
-    summary.cells_done = done;
-    summary.stale_lines = stale_lines;
-    summary.corrupt_lines = corrupt_lines;
-    std::map<std::string, std::size_t> done_by_precision;
-    for (std::size_t gi = 0; gi < grid.size(); ++gi) {
-      if (covered[gi]) ++done_by_precision[grid[gi].precision.name];
-    }
-    for (const Precision& precision : spec.precisions) {
-      CheckpointPrecisionCoverage cov;
-      cov.precision = precision.name;
-      cov.done = done_by_precision[precision.name];
-      cov.total = spec.wstores.size();
-      summary.per_precision.push_back(std::move(cov));
-    }
+  const CheckpointSummary summary =
+      coverage_of(merged, spec, grid, ShardSpec{});
+  if (!missing.empty() || summary.cells_done != summary.cells_total) {
     std::string msg = strfmt("sweep-merge: shard set under '%s' is incomplete",
                              spec.checkpoint.c_str());
     if (!missing.empty()) {
@@ -1030,19 +1031,18 @@ SweepResult merge_sweep_shards(const Compiler& compiler, const SweepSpec& spec,
   // workers' memo shards make this free when a cache file is in play.
   CostCache cache(std::move(model));
   if (!spec.cache_file.empty()) {
-    std::error_code ec;
-    if (std::filesystem::exists(spec.cache_file, ec)) {
-      std::string cache_error;
-      if (!cache.load(spec.cache_file, &cache_error)) {
-        return checkpoint_fail(cache_error, error);
-      }
+    std::vector<std::string> memo_sources = {spec.cache_file};
+    for (int s = 0; s < shard_count; ++s) {
+      memo_sources.push_back(shard_file_path(spec.cache_file, s, shard_count));
     }
     std::string cache_error;
-    if (!cache.load_shards(spec.cache_file, shard_count, &cache_error)) {
+    if (!cache.load_existing(memo_sources, &cache_error)) {
       return checkpoint_fail(cache_error, error);
     }
   }
+  std::vector<RecoveredCell> slots(grid.size());
   for (std::size_t gi = 0; gi < grid.size(); ++gi) {
+    slots[gi] = std::move(*merged.cells[gi]);
     if (slots[gi].empty) continue;
     slots[gi].cell.knee.metrics = cache.evaluate(slots[gi].cell.knee.point);
   }
@@ -1138,71 +1138,20 @@ std::optional<CheckpointSummary> summarize_checkpoint(const Compiler& compiler,
   // whole set is merge_sweep_shards' partial-merge report.
   const std::string path = effective_path(spec.checkpoint, spec.shard);
 
-  CheckpointSummary summary;
-  std::map<std::string, std::size_t> done_by_precision;
-  std::map<std::string, std::size_t> total_by_precision;
-  std::set<std::pair<std::int64_t, std::string>> grid_keys, seen;
+  // A config or shard mismatch is reported, not an error — the point of
+  // the summary is to tell the user what the file holds.
   const std::vector<GridCell> grid = build_grid(spec);
-  for (std::size_t gi = 0; gi < grid.size(); ++gi) {
-    if (!spec.shard.owns(gi)) continue;
-    grid_keys.emplace(grid[gi].wstore, grid[gi].precision.name);
-    ++total_by_precision[grid[gi].precision.name];
-    ++summary.cells_total;
-  }
-
-  bool have_header = false;
-  bool malformed_header = false;
-  const bool readable = walk_checkpoint(
-      path, &have_header,
-      [&](const std::optional<Json>& header) {
-        const HeaderCheck verdict =
-            check_header(header, spec, compiler.technology(),
-                         calibration.get(), spec.shard);
-        if (verdict == HeaderCheck::kMalformed) {
-          malformed_header = true;
-          return false;
-        }
-        // A mismatch is reported, not an error — the point of the summary
-        // is to tell the user what the file holds.  "Match" means resumable
-        // by this spec: same config fingerprint AND same shard identity.
-        summary.config_match = verdict == HeaderCheck::kOk;
-        return true;
-      },
-      [&](const std::optional<Json>& line) {
-        if (!line) {
-          ++summary.corrupt_lines;
-          return;
-        }
-        RecoveredCell rc;
-        if (!recover_cell(*line, spec, &rc)) {
-          ++summary.corrupt_lines;
-          return;
-        }
-        const std::pair<std::int64_t, std::string> key{
-            rc.cell.wstore, rc.cell.precision.name};
-        if (grid_keys.count(key) == 0) {
-          ++summary.stale_lines;
-          return;
-        }
-        if (!seen.insert(key).second) return;  // duplicate line, count once
-        ++summary.cells_done;
-        ++done_by_precision[rc.cell.precision.name];
-      });
-  if (!readable) {
+  const CheckpointScan scan =
+      scan_checkpoint(path, spec, grid, compiler.technology(),
+                      calibration.get(), spec.shard);
+  if (!scan.readable) {
     return fail(strfmt("cannot read checkpoint '%s'", path.c_str()));
   }
-  if (!have_header || malformed_header) {
+  if (!scan.have_header || scan.verdict == HeaderCheck::kMalformed) {
     return fail(strfmt("checkpoint '%s' has a missing or malformed header",
                        path.c_str()));
   }
-  for (const Precision& precision : spec.precisions) {
-    CheckpointPrecisionCoverage cov;
-    cov.precision = precision.name;
-    cov.done = done_by_precision[precision.name];
-    cov.total = total_by_precision[precision.name];
-    summary.per_precision.push_back(std::move(cov));
-  }
-  return summary;
+  return coverage_of(scan, spec, grid, spec.shard);
 }
 
 Json SweepResult::to_json() const {

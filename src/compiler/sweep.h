@@ -225,7 +225,7 @@ struct CheckpointSummary {
   bool config_match = false;     ///< header fingerprint matches (spec, tech)
   std::size_t cells_total = 0;   ///< grid size of the spec
   std::size_t cells_done = 0;    ///< grid cells covered by valid lines
-  std::size_t stale_lines = 0;   ///< valid cell lines outside this grid
+  std::size_t stale_lines = 0;   ///< valid lines outside the grid or shard
   std::size_t corrupt_lines = 0; ///< unparseable/invalid cell lines
   std::vector<CheckpointPrecisionCoverage> per_precision;  ///< spec order
 

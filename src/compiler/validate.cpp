@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <filesystem>
 #include <memory>
 
 #include "cost/cost_cache.h"
@@ -205,13 +204,10 @@ ValidateReport run_validate(const Compiler& compiler, const ValidateSpec& spec,
         compiler.technology(), grid.eval.conditions, rtl_options);
     owned_cache = std::make_unique<CostCache>(*owned_model);
     rtl_cache = owned_cache.get();
-    if (!spec.rtl_cache_file.empty()) {
-      std::error_code ec;
-      std::string cache_error;
-      if (std::filesystem::exists(spec.rtl_cache_file, ec) &&
-          !rtl_cache->load(spec.rtl_cache_file, &cache_error)) {
-        return validate_fail(cache_error, error);
-      }
+    std::string cache_error;
+    if (!spec.rtl_cache_file.empty() &&
+        !rtl_cache->load_existing({spec.rtl_cache_file}, &cache_error)) {
+      return validate_fail(cache_error, error);
     }
   }
   const std::uint64_t rtl_hits_before = rtl_cache->hits();

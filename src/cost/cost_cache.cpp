@@ -2,6 +2,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -207,6 +208,19 @@ namespace {
 
 constexpr const char* kMemoMarker = "sega_cost_memo";
 
+/// The doubles of an entry's "m" array, in order; cycles_per_input follows
+/// them as the last element.  entry_line and parse_memo_entry both walk
+/// this one table, so writer and reader cannot disagree on the order.
+constexpr double MacroMetrics::*kMetricFields[] = {
+    &MacroMetrics::area_gates,          &MacroMetrics::delay_gates,
+    &MacroMetrics::energy_gates,        &MacroMetrics::area_um2,
+    &MacroMetrics::area_mm2,            &MacroMetrics::delay_ns,
+    &MacroMetrics::freq_ghz,            &MacroMetrics::energy_per_cycle_fj,
+    &MacroMetrics::power_w,             &MacroMetrics::energy_per_mvm_nj,
+    &MacroMetrics::throughput_tops,     &MacroMetrics::tops_per_w,
+    &MacroMetrics::tops_per_mm2};
+constexpr std::size_t kDoubleFields = std::size(kMetricFields);
+
 /// Serialize one table entry: the key fields positionally, the gate census,
 /// the scalar metrics positionally, and the breakdown maps.  Doubles dump as
 /// the shortest %.{P}g that reads back bit-exactly (util/json.cpp).
@@ -216,35 +230,13 @@ Json entry_line(
     const MacroMetrics& m) {
   Json j = Json::object();
   Json k = Json::array();
-  k.push_back(std::get<0>(key));
-  k.push_back(std::get<1>(key));
-  k.push_back(std::get<2>(key));
-  k.push_back(std::get<3>(key));
-  k.push_back(std::get<4>(key));
-  k.push_back(std::get<5>(key));
-  k.push_back(std::get<6>(key));
-  k.push_back(std::get<7>(key));
-  k.push_back(std::get<8>(key));
-  k.push_back(std::get<9>(key));
-  k.push_back(std::get<10>(key));
+  std::apply([&k](const auto&... field) { (k.push_back(field), ...); }, key);
   j["k"] = std::move(k);
   Json g = Json::array();
   for (const std::int64_t count : m.gates.counts) g.push_back(count);
   j["g"] = std::move(g);
   Json v = Json::array();
-  v.push_back(m.area_gates);
-  v.push_back(m.delay_gates);
-  v.push_back(m.energy_gates);
-  v.push_back(m.area_um2);
-  v.push_back(m.area_mm2);
-  v.push_back(m.delay_ns);
-  v.push_back(m.freq_ghz);
-  v.push_back(m.energy_per_cycle_fj);
-  v.push_back(m.power_w);
-  v.push_back(m.energy_per_mvm_nj);
-  v.push_back(m.throughput_tops);
-  v.push_back(m.tops_per_w);
-  v.push_back(m.tops_per_mm2);
+  for (const auto field : kMetricFields) v.push_back(m.*field);
   v.push_back(m.cycles_per_input);
   j["m"] = std::move(v);
   Json ab = Json::object();
@@ -280,7 +272,7 @@ bool parse_breakdown(const Json& j, std::map<std::string, double>* out) {
 }  // namespace
 
 bool CostCache::parse_memo_entry(const Json& parsed, Key* key,
-                                 MacroMetrics* metrics) {
+                                 MacroMetrics* m) {
   if (!parsed.is_object() || !check_line_checksum(parsed) ||
       !parsed.contains("k") || !parsed.contains("g") ||
       !parsed.contains("m") || !parsed.contains("ab") ||
@@ -291,7 +283,7 @@ bool CostCache::parse_memo_entry(const Json& parsed, Key* key,
   const Json& g = parsed.at("g");
   const Json& v = parsed.at("m");
   if (!k.is_array() || k.size() != 11 || !json_array_of_numbers(g, 8) ||
-      !json_array_of_numbers(v, 14)) {
+      !json_array_of_numbers(v, kDoubleFields + 1)) {
     return false;
   }
   for (std::size_t i = 0; i < 9; ++i) {
@@ -306,138 +298,122 @@ bool CostCache::parse_memo_entry(const Json& parsed, Key* key,
              static_cast<int>(k.at(4).as_int()), k.at(5).as_int(),
              k.at(6).as_int(), k.at(7).as_int(), k.at(8).as_int(),
              k.at(9).as_bool(), k.at(10).as_bool());
-  // The breakdown maps are validated even when the caller wants keys only —
-  // a line compact_memo_files passes through must be a line load() accepts.
-  MacroMetrics local;
-  MacroMetrics& m = metrics ? *metrics : local;
-  for (std::size_t i = 0; i < m.gates.counts.size(); ++i) {
-    m.gates.counts[i] = g.at(i).as_int();
+  for (std::size_t i = 0; i < m->gates.counts.size(); ++i) {
+    m->gates.counts[i] = g.at(i).as_int();
   }
-  m.area_gates = v.at(0).as_number();
-  m.delay_gates = v.at(1).as_number();
-  m.energy_gates = v.at(2).as_number();
-  m.area_um2 = v.at(3).as_number();
-  m.area_mm2 = v.at(4).as_number();
-  m.delay_ns = v.at(5).as_number();
-  m.freq_ghz = v.at(6).as_number();
-  m.energy_per_cycle_fj = v.at(7).as_number();
-  m.power_w = v.at(8).as_number();
-  m.energy_per_mvm_nj = v.at(9).as_number();
-  m.throughput_tops = v.at(10).as_number();
-  m.tops_per_w = v.at(11).as_number();
-  m.tops_per_mm2 = v.at(12).as_number();
-  m.cycles_per_input = v.at(13).as_int();
-  return parse_breakdown(parsed.at("ab"), &m.area_breakdown) &&
-         parse_breakdown(parsed.at("eb"), &m.energy_breakdown);
+  for (std::size_t i = 0; i < kDoubleFields; ++i) {
+    m->*kMetricFields[i] = v.at(i).as_number();
+  }
+  m->cycles_per_input = v.at(kDoubleFields).as_int();
+  return parse_breakdown(parsed.at("ab"), &m->area_breakdown) &&
+         parse_breakdown(parsed.at("eb"), &m->energy_breakdown);
+}
+
+bool CostCache::read_memo(const std::string& path,
+                          const HeaderVetter& vet_header,
+                          const EntrySink& on_entry,
+                          std::size_t* corrupt_lines, std::string* error) {
+  const auto fail = [&](const std::string& msg) {
+    if (error) *error = msg;
+    return false;
+  };
+  std::ifstream in(path);
+  if (!in) return fail(strfmt("cannot read cost cache '%s'", path.c_str()));
+  std::string line;
+  bool have_header = false;
+  while (std::getline(in, line)) {
+    if (trim(line).empty()) continue;
+    const auto parsed = Json::parse(line);
+    if (!have_header) {
+      if (!parsed || !parsed->is_object() || !parsed->contains(kMemoMarker)) {
+        break;
+      }
+      const std::string refusal = vet_header(*parsed, line);
+      if (!refusal.empty()) return fail(refusal);
+      have_header = true;
+      continue;
+    }
+    // Entry lines: tolerate truncated/corrupt lines (external corruption or
+    // a partially copied file) by skipping them — a bad line must never
+    // become a metric.  The checksum catches corruption that *stays*
+    // parseable (a flipped digit inside a metric), not just structural
+    // damage.
+    Key key;
+    MacroMetrics m;
+    if (!parsed || !parse_memo_entry(*parsed, &key, &m)) {
+      ++*corrupt_lines;
+      continue;
+    }
+    on_entry(key, std::move(m), line);
+  }
+  if (!have_header) {
+    return fail(strfmt("cost cache '%s' has a missing or malformed header",
+                       path.c_str()));
+  }
+  return true;
 }
 
 bool CostCache::compact_memo_files(const std::vector<std::string>& sources,
                                    const std::string& out_path,
                                    std::string* error, CompactStats* stats) {
-  const auto fail = [&](const std::string& msg) {
-    if (error) *error = msg;
-    return false;
-  };
   CompactStats local_stats;
   CompactStats& st = stats ? *stats : local_stats;
   st = CompactStats{};
 
-  // Pass 1 — fold every source line-at-a-time: verify headers against the
-  // first file's, record each valid entry's key and byte extent, first
-  // occurrence wins (sources are in priority order: base memo before
-  // deltas, matching load()'s existing-entries-win merge).  Only keys and
-  // extents are held — never metrics — so memory scales with the entry
-  // *count*, not the file sizes.
-  struct LineRef {
-    std::size_t file;
-    std::uint64_t offset;
-    std::uint32_t length;
-  };
-  std::map<std::pair<std::size_t, Key>, LineRef> order;
-  std::vector<std::unique_ptr<std::ifstream>> files;
+  // Fold every source line-at-a-time, in priority order (base memo before
+  // deltas, matching load()'s existing-entries-win merge): every header
+  // must equal the first source's, and the first line of each key wins.
+  // The winners are kept as their line text in save()'s canonical order
+  // (shard bucket, then key), so the output copies them verbatim.
+  std::map<std::pair<std::size_t, Key>, std::string> winners;
   std::string header_text;  // first source's header line, copied verbatim
   std::optional<Json> header_json;
   for (const std::string& path : sources) {
     std::error_code ec;
     if (!std::filesystem::exists(path, ec)) continue;
-    auto in = std::make_unique<std::ifstream>(path, std::ios::binary);
-    if (!*in) return fail(strfmt("cannot read cost cache '%s'", path.c_str()));
-    const std::size_t file_idx = files.size();
-    bool have_header = false;
-    std::string line;
-    for (;;) {
-      const auto offset = static_cast<std::uint64_t>(in->tellg());
-      if (!std::getline(*in, line)) break;
-      if (trim(line).empty()) continue;
-      const auto parsed = Json::parse(line);
-      if (!have_header) {
-        if (!parsed || !parsed->is_object() || !parsed->contains(kMemoMarker)) {
-          return fail(strfmt("cost cache '%s' has a missing or malformed "
-                             "header",
-                             path.c_str()));
-        }
-        if (!header_json) {
-          header_json = *parsed;
-          header_text = line;
-        } else if (!(*parsed == *header_json)) {
-          return fail(strfmt(
-              "cost cache '%s' was written under a different cost model, "
-              "technology, conditions, or model version than the first "
-              "source; refusing to merge",
-              path.c_str()));
-        }
-        have_header = true;
-        continue;
-      }
-      Key key;
-      if (!parsed || !parse_memo_entry(*parsed, &key, nullptr)) {
-        ++st.corrupt_lines;
-        continue;
-      }
-      const bool inserted =
-          order
-              .try_emplace(std::make_pair(shard_index_of(key), key),
-                           LineRef{file_idx, offset,
-                                   static_cast<std::uint32_t>(line.size())})
-              .second;
-      if (!inserted) ++st.duplicates;
-    }
-    if (!have_header) {
-      return fail(strfmt("cost cache '%s' has a missing or malformed header",
-                         path.c_str()));
-    }
-    in->clear();  // getline drove the stream to EOF; seeks below must work
-    files.push_back(std::move(in));
+    const bool read = read_memo(
+        path,
+        [&](const Json& header, const std::string& text) {
+          if (!header_json) {
+            header_json = header;
+            header_text = text;
+          } else if (!(header == *header_json)) {
+            return strfmt(
+                "cost cache '%s' was written under a different cost model, "
+                "technology, conditions, or model version than the first "
+                "source; refusing to merge",
+                path.c_str());
+          }
+          return std::string();
+        },
+        [&](const Key& key, MacroMetrics&&, const std::string& text) {
+          if (!winners.try_emplace(std::make_pair(shard_index_of(key), key),
+                                   text)
+                   .second) {
+            ++st.duplicates;
+          }
+        },
+        &st.corrupt_lines, error);
+    if (!read) return false;
     ++st.files_merged;
   }
   if (!header_json) {
-    return fail("memo-compact found none of the given memo files");
+    if (error) *error = "memo-compact found none of the given memo files";
+    return false;
   }
 
-  // Pass 2 — stream the winners out in save()'s canonical order (shard
-  // bucket, then key), copying the original line bytes; the atomic replace
-  // keeps the output whole even when it overwrites one of the sources.
+  // The atomic replace keeps the output whole even when it overwrites one
+  // of the sources.
   const bool written = write_file_atomic(
       out_path, "cost cache",
       [&](std::ostream& out) {
         out << header_text << '\n';
-        std::string buf;
-        for (const auto& [bucket_key, ref] : order) {
-          std::ifstream& f = *files[ref.file];
-          f.seekg(static_cast<std::streamoff>(ref.offset));
-          buf.resize(ref.length);
-          f.read(buf.data(), static_cast<std::streamsize>(ref.length));
-          if (!f) {
-            return fail("memo-compact: re-reading a source line failed "
-                        "(file changed mid-compact?)");
-          }
-          out << buf << '\n';
-        }
+        for (const auto& [bucket_key, text] : winners) out << text << '\n';
         return true;
       },
       error);
   if (!written) return false;
-  st.entries = order.size();
+  st.entries = winners.size();
   return true;
 }
 
@@ -511,77 +487,45 @@ bool CostCache::save_impl(const std::string& path, std::string* error,
 
 bool CostCache::load(const std::string& path, std::string* error,
                      bool mark_imported) {
-  const auto fail = [&](const std::string& msg) {
-    if (error) *error = msg;
-    return false;
-  };
-  std::ifstream in(path);
-  if (!in) return fail(strfmt("cannot read cost cache '%s'", path.c_str()));
-
-  std::string line;
-  bool have_header = false;
-  while (std::getline(in, line)) {
-    if (trim(line).empty()) continue;
-    const auto parsed = Json::parse(line);
-    if (!have_header) {
-      // The header must identify a memo for exactly this model: same
-      // formulas (version), same technology, same conditions.
-      if (!parsed || !parsed->is_object() || !parsed->contains(kMemoMarker)) {
-        return fail(strfmt("cost cache '%s' has a missing or malformed header",
-                           path.c_str()));
-      }
-      if (!(*parsed == fingerprint_header())) {
-        return fail(strfmt(
+  const Json expected = fingerprint_header();
+  std::size_t corrupt_lines = 0;
+  return read_memo(
+      path,
+      [&](const Json& header, const std::string&) {
+        // The header must identify a memo for exactly this model: same
+        // formulas (version), same technology, same conditions.
+        if (header == expected) return std::string();
+        return strfmt(
             "cost cache '%s' was written for a different cost model, "
             "technology, conditions, or model version; delete it or fix "
             "the spec",
-            path.c_str()));
-      }
-      have_header = true;
-      continue;
-    }
-    // Entry lines: tolerate truncated/corrupt lines (external corruption or
-    // a partially copied file) by skipping them — a bad line must never
-    // become a metric.  The checksum catches corruption that *stays*
-    // parseable (a flipped digit inside a metric), not just structural
-    // damage.
-    if (!parsed) continue;
-    Key key;
-    MacroMetrics m;
-    if (!parse_memo_entry(*parsed, &key, &m)) continue;
-
-    // Merge: existing entries win (for a matching fingerprint the values are
-    // identical anyway — the model is pure), and keep their imported flag —
-    // provenance is first-load-wins.  With the sweep's load order (base
-    // memo first, own shard second) an entry present in both files stays
-    // imported and is deduped out of the next save_delta(): the base
-    // already persists it.
-    Shard& shard = shard_of(key);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    const auto [it, inserted] = shard.table.try_emplace(key);
-    if (inserted || !it->second.ready) {
-      it->second.metrics = std::move(m);
-      it->second.ready = true;
-      it->second.imported = mark_imported;
-    }
-  }
-  if (!have_header) {
-    return fail(strfmt("cost cache '%s' has a missing or malformed header",
-                       path.c_str()));
-  }
-  return true;
+            path.c_str());
+      },
+      [&](const Key& key, MacroMetrics&& m, const std::string&) {
+        // Merge: existing entries win (for a matching fingerprint the
+        // values are identical anyway — the model is pure), and keep their
+        // imported flag — provenance is first-load-wins.  With the sweep's
+        // load order (base memo first, own shard second) an entry present
+        // in both files stays imported and is deduped out of the next
+        // save_delta(): the base already persists it.
+        Shard& shard = shard_of(key);
+        std::lock_guard<std::mutex> lock(shard.mu);
+        const auto [it, inserted] = shard.table.try_emplace(key);
+        if (inserted || !it->second.ready) {
+          it->second.metrics = std::move(m);
+          it->second.ready = true;
+          it->second.imported = mark_imported;
+        }
+      },
+      &corrupt_lines, error);
 }
 
-bool CostCache::load_shards(const std::string& base, int count,
-                            std::string* error, int* merged) {
-  SEGA_EXPECTS(count >= 1);
-  if (merged) *merged = 0;
-  for (int i = 0; i < count; ++i) {
-    const std::string path = shard_file_path(base, i, count);
+bool CostCache::load_existing(const std::vector<std::string>& paths,
+                              std::string* error, std::size_t imported) {
+  for (std::size_t i = 0; i < paths.size(); ++i) {
     std::error_code ec;
-    if (!std::filesystem::exists(path, ec)) continue;
-    if (!load(path, error)) return false;
-    if (merged) ++*merged;
+    if (!std::filesystem::exists(paths[i], ec)) continue;
+    if (!load(paths[i], error, /*mark_imported=*/i < imported)) return false;
   }
   return true;
 }

@@ -37,6 +37,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -118,16 +119,16 @@ class CostCache final : public CostModel {
   bool load(const std::string& path, std::string* error = nullptr,
             bool mark_imported = false);
 
-  /// Merge every existing per-worker memo shard of @p base —
-  /// `<base>.shard-<i>-of-<count>` for i in [0, count), the files a sharded
-  /// sweep's workers write — into the table.  A missing shard file is
-  /// skipped, not an error: a worker whose cells were all recovered from its
-  /// checkpoint never evaluates (or writes) anything.  An existing shard
-  /// that fails to load (unreadable, malformed, fingerprint mismatch) is an
-  /// error, same as load().  @p merged (when given) reports how many shard
-  /// files were merged.
-  bool load_shards(const std::string& base, int count,
-                   std::string* error = nullptr, int* merged = nullptr);
+  /// load() each of @p paths that exists, in order, marking the entries of
+  /// the first @p imported paths as imported.  A missing file is skipped,
+  /// not an error: the memo of a first run, or of a shard whose cells were
+  /// all recovered from its checkpoint, was never written.  An existing
+  /// file that fails to load is an error, same as load().  The one way a
+  /// command seeds its cache from memo files (sweep: base memo then own
+  /// shard; sweep-merge: base memo then every shard; compile and validate:
+  /// their one memo).
+  bool load_existing(const std::vector<std::string>& paths,
+                     std::string* error = nullptr, std::size_t imported = 0);
 
   /// Statistics of one compact_memo_files run.
   struct CompactStats {
@@ -137,21 +138,21 @@ class CostCache final : public CostModel {
     std::size_t corrupt_lines = 0;  ///< unparseable/bad-checksum lines skipped
   };
 
-  /// Streamed merge of several memo files (a base memo plus its shard
-  /// deltas — the `sega_dcim memo-compact` engine) into one deduplicated
-  /// memo at @p out_path, written atomically.  Unlike load()+save(), no
-  /// metrics are ever materialized: each source is folded line-at-a-time,
-  /// only the entry *keys* (for first-wins dedup, earlier sources win) and
-  /// per-line byte extents are held in memory, and the output is assembled
-  /// by copying the winning lines verbatim in save()'s canonical
-  /// shard-bucket/key order — so compacting files that save()/save_delta()
-  /// wrote produces byte-identical output to loading them all into one
-  /// cache and saving it.  Missing sources are skipped (at least one must
-  /// exist); every source read must carry the same header fingerprint as
-  /// the first (a mismatched file is an error — memos of different
-  /// models/technologies/conditions must never be merged); corrupt entry
-  /// lines are skipped and counted.  No model is needed: the fingerprint
-  /// of record is the first source's header, copied through unchanged.
+  /// Merge several memo files (a base memo plus its shard deltas — the
+  /// `sega_dcim memo-compact` engine) into one deduplicated memo at
+  /// @p out_path, written atomically.  Each source is read through the same
+  /// line reader as load(); the first line of each key wins (earlier
+  /// sources win), and the winning lines' text is kept and written verbatim
+  /// in save()'s canonical shard-bucket/key order — so compacting files
+  /// that save()/save_delta() wrote produces byte-identical output to
+  /// loading them all into one cache and saving it.  Memory is the winning
+  /// lines' text, about 645 B per entry.  Missing sources are skipped (at
+  /// least one must exist); every source read must carry the same header
+  /// fingerprint as the first (a mismatched file is an error — memos of
+  /// different models/technologies/conditions must never be merged);
+  /// corrupt entry lines are skipped and counted.  No model is needed: the
+  /// fingerprint of record is the first source's header, copied through
+  /// unchanged.
   static bool compact_memo_files(const std::vector<std::string>& sources,
                                  const std::string& out_path,
                                  std::string* error = nullptr,
@@ -189,13 +190,27 @@ class CostCache final : public CostModel {
   static std::size_t shard_index_of(const Key& key);
   Shard& shard_of(const Key& key) const;
 
-  /// Parse one memo entry line (already JSON-parsed) into its key and,
-  /// when @p metrics is non-null, its metrics.  All structural validation —
-  /// checksum, field shapes, types — runs either way; false means the line
-  /// is corrupt and must be skipped.  Shared by load() (materializes
-  /// metrics) and compact_memo_files() (keys only).
+  /// Parse one memo entry line (already JSON-parsed) into its key and
+  /// metrics — checksum, field shapes and types all verified; false means
+  /// the line is corrupt and must be skipped.
   static bool parse_memo_entry(const Json& parsed, Key* key,
                                MacroMetrics* metrics);
+
+  /// The one memo-file reader, shared by load() and compact_memo_files().
+  /// The first non-empty line must be a memo header; @p vet_header gets it
+  /// (parsed, and as text) and returns the refusal diagnostic, empty to
+  /// accept.  Every verified entry goes to @p on_entry as its key, its
+  /// metrics and its line text; corrupt lines are counted in
+  /// *corrupt_lines.  False (with *error) on an unreadable file, a
+  /// missing/malformed header, or a refused one.
+  using HeaderVetter =
+      std::function<std::string(const Json& header, const std::string& text)>;
+  using EntrySink = std::function<void(const Key&, MacroMetrics&&,
+                                       const std::string& text)>;
+  static bool read_memo(const std::string& path,
+                        const HeaderVetter& vet_header,
+                        const EntrySink& on_entry, std::size_t* corrupt_lines,
+                        std::string* error);
 
   /// Memo-file identity: model version + serialized technology + conditions.
   Json fingerprint_header() const;

@@ -211,7 +211,7 @@ void ServeServer::reap_finished() {
 }
 
 void ServeServer::handle_connection(Session& session) {
-  LineReader reader(session.fd, opts_.max_request_bytes);
+  LineReader reader(session.fd, kMaxRequestBytes);
   std::string line;
   for (;;) {
     const LineReader::Status status = reader.read_line(&line);
@@ -222,7 +222,7 @@ void ServeServer::handle_connection(Session& session) {
     if (status == LineReader::Status::kTooLong) {
       if (!send_all(session.fd,
                     error_line(Json(), strfmt("request exceeds %zu bytes",
-                                              opts_.max_request_bytes)))) {
+                                              kMaxRequestBytes)))) {
         return;
       }
       continue;

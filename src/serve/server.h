@@ -62,7 +62,6 @@ struct ServeOptions {
   /// --calibration — the preload never silently calibrates a request that
   /// did not ask (daemon and --no-daemon runs must stay byte-identical).
   std::string calibration_file;
-  std::size_t max_request_bytes = kMaxRequestBytes;
   /// LRU capacity of the finished-response cache (0 disables it).
   std::size_t response_cache_entries = 64;
 };

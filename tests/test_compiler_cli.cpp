@@ -80,6 +80,18 @@ TEST(CliTest, TechlibDumpRoundTrips) {
   EXPECT_NE(r.out.find("cell FA"), std::string::npos);
 }
 
+TEST(CliTest, PrecisionsAndTechlibTakeNoOptions) {
+  // Neither command reads a flag, so any flag is a typo (or, like --tech,
+  // a request the command cannot honor) and must not pass silently.
+  for (const char* command : {"precisions", "techlib"}) {
+    const CliRun r = cli({command, "--tech", "mine.techlib"});
+    EXPECT_EQ(r.code, 2) << command;
+    EXPECT_NE(r.err.find("unknown option '--tech'"), std::string::npos)
+        << command << ": " << r.err;
+    EXPECT_TRUE(r.out.empty()) << command;
+  }
+}
+
 TEST(CliTest, ExploreRequiresMandatoryFlags) {
   EXPECT_EQ(cli({"explore"}).code, 2);
   EXPECT_EQ(cli({"explore", "--wstore", "8192"}).code, 2);
@@ -140,6 +152,40 @@ TEST_F(CliTempDir, CompileWritesArtifacts) {
   const auto report = Json::parse(buf.str());
   ASSERT_TRUE(report.has_value());
   EXPECT_GT(report->at("pareto_front").size(), 0u);
+}
+
+TEST_F(CliTempDir, UnwritableReportsExitTwo) {
+  // A report file under --out that cannot be written (here: a directory
+  // sits at its path) fails the command; it never reports success over a
+  // missing file.  The second file of each command is the blocked one, so
+  // every file is checked, not only the first.
+  const auto spec_path = dir_ / "spec.json";
+  {
+    std::ofstream f(spec_path);
+    f << R"({"wstore": 512, "precision": "INT8", "population": 16,
+             "generations": 4})";
+  }
+  const auto grid_run = [](const char* command) {
+    return std::vector<std::string>{command, "--wstores", "512",
+                                    "--precisions", "INT8", "--population",
+                                    "16", "--generations", "4"};
+  };
+  const std::vector<std::pair<std::vector<std::string>, const char*>> cases =
+      {{{"compile", "--spec", spec_path.string()}, "front.txt"},
+       {grid_run("sweep"), "sweep.csv"},
+       {grid_run("validate"), "validate.csv"}};
+  for (const auto& [run, file] : cases) {
+    const auto out_dir = dir_ / (run[0] + "_out");
+    const auto blocked = out_dir / file;
+    std::filesystem::create_directories(blocked);
+    std::vector<std::string> args = run;
+    args.insert(args.end(), {"--out", out_dir.string()});
+    const CliRun r = cli(args);
+    EXPECT_EQ(r.code, 2) << run[0] << ": " << r.err;
+    EXPECT_NE(r.err.find("cannot write '" + blocked.string() + "'"),
+              std::string::npos)
+        << run[0] << ": " << r.err;
+  }
 }
 
 TEST_F(CliTempDir, CompileRejectsBadSpec) {

@@ -10,6 +10,7 @@
 #include <fstream>
 #include <vector>
 
+#include "arch/space.h"
 #include "test_support.h"
 #include "util/strings.h"
 
@@ -1069,6 +1070,113 @@ TEST_F(SweepCheckpointTest, TornFragmentAfterCompleteCheckpointIsSkipped) {
   EXPECT_EQ(resumed.to_csv(), full.to_csv());
   // Nothing recomputed, nothing re-appended past the torn fragment.
   EXPECT_EQ(lines_of(spec.checkpoint).size(), lines_before + 1);
+}
+
+TEST_F(SweepCheckpointTest, FirstValidLineOfACellWinsInEveryReader) {
+  // Two valid, checksummed lines for one cell whose knees differ: resume,
+  // sweep-merge and --resume-summary all take the first and count it once.
+  const Compiler compiler(Technology::tsmc28());
+  SweepSpec spec = small_sweep();
+  spec.checkpoint = ckpt("dup.jsonl");
+  std::string error;
+  run_sweep(compiler, spec, &error);
+  ASSERT_TRUE(error.empty()) << error;
+  const auto lines = lines_of(spec.checkpoint);
+  ASSERT_EQ(lines.size(), 5u);
+
+  // The first cell line again, its knee moved to another point of the
+  // cell's design space and its checksum re-stamped.
+  Json first = *Json::parse(lines[1]);
+  Json& cell = first["cell"];
+  ASSERT_TRUE(cell.contains("knee")) << lines[1];
+  const auto precision = precision_from_name(cell.at("precision").as_string());
+  ASSERT_TRUE(precision.has_value());
+  const DesignSpace space(cell.at("wstore").as_int(), *precision, spec.limits);
+  DesignPoint alt;
+  bool found = false;
+  for (const DesignPoint& dp : space.enumerate_all()) {
+    const Json& knee = cell.at("knee");
+    if (dp.n != knee.at("n").as_int() || dp.h != knee.at("h").as_int() ||
+        dp.l != knee.at("l").as_int() || dp.k != knee.at("k").as_int()) {
+      alt = dp;
+      found = true;
+      break;
+    }
+  }
+  ASSERT_TRUE(found);
+  Json& knee = cell["knee"];
+  knee["n"] = alt.n;
+  knee["h"] = alt.h;
+  knee["l"] = alt.l;
+  knee["k"] = alt.k;
+  knee["signed_weights"] = alt.signed_weights;
+  knee["pipelined_tree"] = alt.pipelined_tree;
+  stamp_line_checksum(&first);
+  {
+    std::ofstream f(spec.checkpoint, std::ios::trunc);
+    f << lines[0] << "\n" << first.dump() << "\n";
+    for (std::size_t i = 1; i < lines.size(); ++i) f << lines[i] << "\n";
+  }
+  const std::int64_t wstore = cell.at("wstore").as_int();
+  const auto knee_of = [&](const SweepResult& result) {
+    for (const SweepCell& c : result.cells) {
+      if (c.wstore == wstore && c.precision.name == precision->name) {
+        return c.knee.point.to_string();
+      }
+    }
+    return std::string("(missing)");
+  };
+
+  const auto summary = summarize_checkpoint(compiler, spec, &error);
+  ASSERT_TRUE(summary.has_value()) << error;
+  EXPECT_EQ(summary->cells_done, 4u);
+  EXPECT_EQ(summary->stale_lines, 0u);
+  EXPECT_EQ(summary->corrupt_lines, 0u);
+
+  const SweepResult resumed = run_sweep(compiler, spec, &error);
+  ASSERT_TRUE(error.empty()) << error;
+  EXPECT_EQ(knee_of(resumed), alt.to_string());
+
+  const SweepResult merged = merge_sweep_shards(compiler, spec, 1, &error);
+  ASSERT_TRUE(error.empty()) << error;
+  EXPECT_EQ(knee_of(merged), alt.to_string());
+}
+
+TEST_F(SweepCheckpointTest, StaleLineIsCountedAndNeverEvaluated) {
+  // A valid line for a Wstore outside the grid is stale: the summary counts
+  // it, and resume never evaluates its knee — with a warm memo, a resume of
+  // a complete checkpoint evaluates nothing.
+  const Compiler compiler(Technology::tsmc28());
+  SweepSpec other = small_sweep();
+  other.wstores = {16384};
+  other.precisions = {precision_int8()};
+  other.checkpoint = ckpt("other.jsonl");
+  std::string error;
+  run_sweep(compiler, other, &error);
+  ASSERT_TRUE(error.empty()) << error;
+  const auto other_lines = lines_of(other.checkpoint);
+  ASSERT_EQ(other_lines.size(), 2u);
+  ASSERT_NE(other_lines[1].find("\"knee\""), std::string::npos);
+
+  SweepSpec spec = small_sweep();
+  spec.checkpoint = ckpt("stale.jsonl");
+  spec.cache_file = ckpt("stale.memo.jsonl");
+  const SweepResult full = run_sweep(compiler, spec, &error);
+  ASSERT_TRUE(error.empty()) << error;
+  {
+    std::ofstream f(spec.checkpoint, std::ios::app);
+    f << other_lines[1] << "\n";
+  }
+
+  const auto summary = summarize_checkpoint(compiler, spec, &error);
+  ASSERT_TRUE(summary.has_value()) << error;
+  EXPECT_EQ(summary->stale_lines, 1u);
+  EXPECT_EQ(summary->cells_done, 4u);
+
+  const SweepResult resumed = run_sweep(compiler, spec, &error);
+  ASSERT_TRUE(error.empty()) << error;
+  EXPECT_EQ(resumed.cache_misses, 0u);
+  EXPECT_EQ(resumed.to_csv(), full.to_csv());
 }
 
 TEST_F(SweepHeartbeatTest, HeartbeatRequiresCheckpointAndRoundTripsAsSpec) {

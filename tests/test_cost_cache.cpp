@@ -598,8 +598,10 @@ TEST(CostCacheTest, SaveIsAtomicViaTempFileRename) {
 TEST(CostCacheTest, LoadShardsMergesPerWorkerMemoFiles) {
   const Technology tech = Technology::tsmc28();
   const std::string base = temp_path("sharded.memo.jsonl");
+  std::vector<std::string> shards;
   for (int i = 0; i < 4; ++i) {
-    std::filesystem::remove(shard_file_path(base, i, 4));
+    shards.push_back(shard_file_path(base, i, 4));
+    std::filesystem::remove(shards.back());
   }
 
   // Two workers of a 4-way set persisted disjoint entries; workers 1 and 3
@@ -607,21 +609,31 @@ TEST(CostCacheTest, LoadShardsMergesPerWorkerMemoFiles) {
   CostCache worker0(tech);
   worker0.evaluate(int8_point(32, 128, 16, 8));
   worker0.evaluate(int8_point(32, 128, 16, 4));
-  ASSERT_TRUE(worker0.save(shard_file_path(base, 0, 4)));
+  ASSERT_TRUE(worker0.save(shards[0]));
   CostCache worker2(tech);
   worker2.evaluate(int8_point(16, 256, 16, 8));
-  ASSERT_TRUE(worker2.save(shard_file_path(base, 2, 4)));
+  ASSERT_TRUE(worker2.save(shards[2]));
 
   CostCache merged(tech);
   std::string error;
-  int files = 0;
-  ASSERT_TRUE(merged.load_shards(base, 4, &error, &files)) << error;
-  EXPECT_EQ(files, 2);
+  ASSERT_TRUE(merged.load_existing(shards, &error)) << error;
   EXPECT_EQ(merged.size(), 3u);
   // Merged entries replay bit-exactly; loads are neither hits nor misses.
   expect_same_metrics(merged.evaluate(int8_point(16, 256, 16, 8)),
                       evaluate_macro(tech, int8_point(16, 256, 16, 8)));
   EXPECT_EQ(merged.misses(), 0u);
+
+  // The first `imported` paths are marked imported: a delta save of a cache
+  // seeded from shard 0 as imported and shard 2 as its own holds shard 2's
+  // entry alone.
+  CostCache seeded(tech);
+  ASSERT_TRUE(seeded.load_existing({shards[0], shards[2]}, &error, 1))
+      << error;
+  const std::string delta = temp_path("sharded.delta.memo.jsonl");
+  ASSERT_TRUE(seeded.save_delta(delta, &error)) << error;
+  CostCache reloaded(tech);
+  ASSERT_TRUE(reloaded.load(delta, &error)) << error;
+  EXPECT_EQ(reloaded.size(), 1u);
 
   // A shard written under a different fingerprint poisons the whole merge —
   // hard error, same contract as load().
@@ -629,16 +641,18 @@ TEST(CostCacheTest, LoadShardsMergesPerWorkerMemoFiles) {
   other_cond.input_sparsity = 0.5;
   CostCache stale(tech, other_cond);
   stale.evaluate(int8_point(32, 128, 16, 8));
-  ASSERT_TRUE(stale.save(shard_file_path(base, 1, 4)));
+  ASSERT_TRUE(stale.save(shards[1]));
   CostCache strict(tech);
-  EXPECT_FALSE(strict.load_shards(base, 4, &error));
+  EXPECT_FALSE(strict.load_existing(shards, &error));
   EXPECT_FALSE(error.empty());
 
-  // No shard files at all: success, zero files merged.
+  // No shard files at all: success, nothing loaded.
+  std::vector<std::string> absent;
+  for (int i = 0; i < 4; ++i) {
+    absent.push_back(shard_file_path(temp_path("no_shards.memo.jsonl"), i, 4));
+  }
   CostCache empty_ok(tech);
-  ASSERT_TRUE(empty_ok.load_shards(temp_path("no_shards.memo.jsonl"), 4,
-                                   &error, &files));
-  EXPECT_EQ(files, 0);
+  ASSERT_TRUE(empty_ok.load_existing(absent, &error)) << error;
   EXPECT_EQ(empty_ok.size(), 0u);
 }
 

@@ -364,14 +364,12 @@ TEST_F(ServeServerTest, MalformedRequestsGetCleanErrorsAndConnectionSurvives) {
 }
 
 TEST_F(ServeServerTest, OversizedRequestIsRejectedAndReaderResyncs) {
-  ServeOptions opts;
-  opts.max_request_bytes = 4096;  // small cap keeps the hostile payload cheap
-  auto server = start_server(std::move(opts));
+  auto server = start_server();
   RawClient client(socket());
 
-  // A single line far over the cap: one clean error, not a dead daemon.
+  // A single line over the cap: one clean error, not a dead daemon.
   std::string huge = R"({"cmd":"run","argv":[")";
-  huge.append(64 * 1024, 'a');
+  huge.append(kMaxRequestBytes + 64 * 1024, 'a');
   huge += "\"]}\n";
   ASSERT_TRUE(client.send(huge));
   const auto error = client.next();
