@@ -162,8 +162,9 @@ const std::string& sweep_memo_path() {
   return path;
 }
 
-/// Memo save: serialize every entry (checksum, then the line) and write
-/// the file atomically — the persistence cost a sweep pays at completion.
+/// Memo save: format every entry line once, checksum the bytes written and
+/// write the file atomically — the persistence cost a sweep pays at
+/// completion.
 void BM_CostCacheSave(benchmark::State& state) {
   const Technology tech = Technology::tsmc28();
   CostCache cache(tech);
@@ -185,7 +186,7 @@ void BM_CostCacheSave(benchmark::State& state) {
   std::filesystem::remove(out);
 }
 
-/// Memo load: parse and checksum-verify every line into a fresh cache —
+/// Memo load: scan and checksum-verify every line into a fresh cache —
 /// the cost a warm rerun pays before it can skip the model.
 void BM_CostCacheLoad(benchmark::State& state) {
   const Technology tech = Technology::tsmc28();

@@ -85,7 +85,16 @@ std::optional<SweepSpec> SweepSpec::from_json(const Json& json,
         if (!value.at(i).is_number() || value.at(i).as_int() < 1) {
           return spec_fail("wstores entries must be positive integers", error);
         }
-        spec.wstores.push_back(value.at(i).as_int());
+        const std::int64_t wstore = value.at(i).as_int();
+        if (std::find(spec.wstores.begin(), spec.wstores.end(), wstore) !=
+            spec.wstores.end()) {
+          return spec_fail(
+              strfmt("wstores lists %lld twice; each Wstore names one grid "
+                     "row",
+                     static_cast<long long>(wstore)),
+              error);
+        }
+        spec.wstores.push_back(wstore);
       }
     } else if (key == "precisions") {
       if (!value.is_array() || value.size() == 0) {
@@ -101,6 +110,14 @@ std::optional<SweepSpec> SweepSpec::from_json(const Json& json,
           return spec_fail(strfmt("unknown precision '%s'",
                                   value.at(i).as_string().c_str()),
                            error);
+        }
+        if (std::find(spec.precisions.begin(), spec.precisions.end(), *p) !=
+            spec.precisions.end()) {
+          return spec_fail(
+              strfmt("precisions lists %s twice; each precision names one "
+                     "grid column",
+                     p->name.c_str()),
+              error);
         }
         spec.precisions.push_back(*p);
       }
@@ -235,6 +252,12 @@ struct GridCell {
 };
 
 std::vector<GridCell> build_grid(const SweepSpec& spec) {
+  for (auto w = spec.wstores.begin(); w != spec.wstores.end(); ++w) {
+    SEGA_EXPECTS(std::find(spec.wstores.begin(), w, *w) == w);
+  }
+  for (auto p = spec.precisions.begin(); p != spec.precisions.end(); ++p) {
+    SEGA_EXPECTS(std::find(spec.precisions.begin(), p, *p) == p);
+  }
   std::vector<GridCell> grid;
   grid.reserve(spec.wstores.size() * spec.precisions.size());
   for (const std::int64_t wstore : spec.wstores) {
@@ -422,10 +445,13 @@ CheckpointScan scan_checkpoint(const std::string& path, const SweepSpec& spec,
   std::ifstream in(path);
   if (!in) return scan;
   scan.readable = true;
+  // The grid id of each owned cell.  A grid lists each Wstore and each
+  // precision once (both spec parsers reject a repeat), so a cell's name
+  // is its id.
   using CellKey = std::pair<std::int64_t, std::string>;
-  std::map<CellKey, std::optional<RecoveredCell>> owned;
+  std::map<CellKey, std::size_t> owned;
   for (std::size_t gi = 0; gi < grid.size(); ++gi) {
-    if (shard.owns(gi)) owned[{grid[gi].wstore, grid[gi].precision.name}];
+    if (shard.owns(gi)) owned[{grid[gi].wstore, grid[gi].precision.name}] = gi;
   }
   std::string line;
   while (std::getline(in, line)) {
@@ -445,13 +471,9 @@ CheckpointScan scan_checkpoint(const std::string& path, const SweepSpec& spec,
     const auto it = owned.find({rc.cell.wstore, rc.cell.precision.name});
     if (it == owned.end()) {
       ++scan.stale_lines;
-    } else if (!it->second) {
-      it->second = std::move(rc);
+    } else if (!scan.cells[it->second]) {
+      scan.cells[it->second] = std::move(rc);
     }
-  }
-  for (std::size_t gi = 0; gi < grid.size(); ++gi) {
-    if (!shard.owns(gi)) continue;
-    scan.cells[gi] = owned.at({grid[gi].wstore, grid[gi].precision.name});
   }
   return scan;
 }

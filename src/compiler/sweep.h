@@ -39,6 +39,9 @@ struct ShardSpec {
 };
 
 struct SweepSpec {
+  /// The grid's rows and columns.  Each Wstore and each precision is listed
+  /// once: a grid cell is named by its pair, and both parsers reject a
+  /// repeat.
   std::vector<std::int64_t> wstores = {4096,  8192,  16384,
                                        32768, 65536, 131072};
   std::vector<Precision> precisions = all_precisions();
@@ -126,7 +129,7 @@ struct SweepSpec {
   ///    "shard_index": 0, "shard_count": 4,
   ///    "checkpoint": "sweep.ckpt.jsonl", "cache_file": "cost.memo.jsonl"}
   /// Omitted "wstores"/"precisions" keep the full §IV defaults.  Unknown
-  /// keys are rejected.
+  /// keys and a repeated Wstore or precision are rejected.
   static std::optional<SweepSpec> from_json(const Json& json,
                                             std::string* error = nullptr);
   Json to_json() const;

@@ -1,9 +1,14 @@
 #include "cost/cost_cache.h"
 
+#include <algorithm>
+#include <cctype>
+#include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <iterator>
 #include <optional>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -203,14 +208,26 @@ void CostCache::clear() {
 }
 
 // ------------------------------------------------------------ persistence
+//
+// The memo codec.  An entry line is written as text straight from the table
+// and read back by a scanner for that one form; neither side builds a Json.
+// The line is Json's compact dump of the entry object — members in sorted
+// key order, numbers and strings by util/json.h's codec:
+//
+//   {"ab":{...},"c":<n>,"eb":{...},"g":[8 ints],"k":[9 ints,2 bools],
+//    "m":[13 doubles,1 int]}
+//
+// so "c", FNV-1a over the line without its `"c":<n>,`, is the checksum
+// docs/FORMATS.md defines for every JSONL data line: FNV-1a over the
+// canonical dump of the rest.
 
 namespace {
 
 constexpr const char* kMemoMarker = "sega_cost_memo";
 
 /// The doubles of an entry's "m" array, in order; cycles_per_input follows
-/// them as the last element.  entry_line and parse_memo_entry both walk
-/// this one table, so writer and reader cannot disagree on the order.
+/// them as the last element.  append_entry_line and parse_memo_entry both
+/// walk this one table, so writer and reader cannot disagree on the order.
 constexpr double MacroMetrics::*kMetricFields[] = {
     &MacroMetrics::area_gates,          &MacroMetrics::delay_gates,
     &MacroMetrics::energy_gates,        &MacroMetrics::area_um2,
@@ -219,94 +236,219 @@ constexpr double MacroMetrics::*kMetricFields[] = {
     &MacroMetrics::power_w,             &MacroMetrics::energy_per_mvm_nj,
     &MacroMetrics::throughput_tops,     &MacroMetrics::tops_per_w,
     &MacroMetrics::tops_per_mm2};
-constexpr std::size_t kDoubleFields = std::size(kMetricFields);
 
-/// Serialize one table entry: the key fields positionally, the gate census,
-/// the scalar metrics positionally, and the breakdown maps.  Doubles dump as
-/// the shortest %.{P}g that reads back bit-exactly (util/json.cpp).
-Json entry_line(
-    const std::tuple<int, int, int, int, int, std::int64_t, std::int64_t,
-                     std::int64_t, std::int64_t, bool, bool>& key,
-    const MacroMetrics& m) {
-  Json j = Json::object();
-  Json k = Json::array();
-  std::apply([&k](const auto&... field) { (k.push_back(field), ...); }, key);
-  j["k"] = std::move(k);
-  Json g = Json::array();
-  for (const std::int64_t count : m.gates.counts) g.push_back(count);
-  j["g"] = std::move(g);
-  Json v = Json::array();
-  for (const auto field : kMetricFields) v.push_back(m.*field);
-  v.push_back(m.cycles_per_input);
-  j["m"] = std::move(v);
-  Json ab = Json::object();
-  for (const auto& [name, value] : m.area_breakdown) ab[name] = value;
-  j["ab"] = std::move(ab);
-  Json eb = Json::object();
-  for (const auto& [name, value] : m.energy_breakdown) eb[name] = value;
-  j["eb"] = std::move(eb);
-  // Line self-checksum: in-place corruption of any byte of the entry —
-  // including a flipped digit that still parses — fails verification on
-  // load and the line is skipped, never trusted.
-  stamp_line_checksum(&j);
-  return j;
+/// An integer as Json writes it: the number form of its double.
+void append_integer(std::string& out, std::int64_t value) {
+  append_number(out, static_cast<double>(value));
 }
 
-bool json_array_of_numbers(const Json& j, std::size_t size) {
-  if (!j.is_array() || j.size() != size) return false;
-  for (std::size_t i = 0; i < j.size(); ++i) {
-    if (!j.at(i).is_number()) return false;
+/// A key field as Json writes it: a bool as its literal, an integer as
+/// append_integer does.
+template <typename Field>
+void append_key_field(std::string& out, Field field) {
+  if constexpr (std::is_same_v<Field, bool>) {
+    out += field ? "true" : "false";
+  } else {
+    append_integer(out, field);
   }
-  return true;
 }
 
-bool parse_breakdown(const Json& j, std::map<std::string, double>* out) {
-  if (!j.is_object()) return false;
-  for (const auto& [name, value] : j.items()) {
-    if (!value.is_number()) return false;
-    (*out)[name] = value.as_number();
+void append_breakdown(std::string& out,
+                      const std::map<std::string, double>& breakdown) {
+  out += '{';
+  bool first = true;
+  for (const auto& [name, value] : breakdown) {
+    if (!first) out += ',';
+    first = false;
+    escape_into(out, name);
+    out += ':';
+    append_number(out, value);
   }
-  return true;
+  out += '}';
+}
+
+/// Reads an entry line left to right in exactly the form append_entry_line
+/// writes: each call consumes one expected piece or fails, and any failure
+/// makes the line corrupt.
+class LineScanner {
+ public:
+  explicit LineScanner(std::string_view line)
+      : pos_(line.data()), end_(line.data() + line.size()) {}
+
+  const char* pos() const { return pos_; }
+  bool done() const { return pos_ == end_; }
+
+  bool literal(char c) {
+    if (pos_ == end_ || *pos_ != c) return false;
+    ++pos_;
+    return true;
+  }
+
+  bool literal(std::string_view text) {
+    if (static_cast<std::size_t>(end_ - pos_) < text.size() ||
+        std::memcmp(pos_, text.data(), text.size()) != 0) {
+      return false;
+    }
+    pos_ += text.size();
+    return true;
+  }
+
+  /// A number in Json::parse's grammar whose text is append_number's form
+  /// of its own value — the only form the writer emits ("8192.0", "1e3"
+  /// and "+1" are corrupt here).
+  bool number(double* value) {
+    const char* end = pos_;
+    if (scan_number(pos_, end_, &end, value) != NumberScan::kOk) return false;
+    canonical_.clear();
+    append_number(canonical_, *value);
+    if (std::string_view(pos_, static_cast<std::size_t>(end - pos_)) !=
+        canonical_) {
+      return false;
+    }
+    pos_ = end;
+    return true;
+  }
+
+  /// An integer as append_integer writes one: the number form of an
+  /// integral double in int64 range, never "-0".
+  bool integer(std::int64_t* value) {
+    double d = 0;
+    if (!number(&d) || !(d >= -0x1p63 && d < 0x1p63)) return false;
+    *value = static_cast<std::int64_t>(d);
+    return d == static_cast<double>(*value) && !(d == 0 && std::signbit(d));
+  }
+
+  /// @p count comma-separated integers.
+  bool integers(std::int64_t* values, std::size_t count) {
+    for (std::size_t i = 0; i < count; ++i) {
+      if ((i > 0 && !literal(',')) || !integer(&values[i])) return false;
+    }
+    return true;
+  }
+
+  bool boolean(bool* value) {
+    *value = literal("true");
+    return *value || literal("false");
+  }
+
+  /// A breakdown name: a quoted string with no escape sequence and no
+  /// control character.  escape_into writes any other name with escapes,
+  /// which this reader does not take.
+  bool name(std::string_view* value) {
+    if (!literal('"')) return false;
+    const char* const first = pos_;
+    while (pos_ != end_ && *pos_ != '"') {
+      if (*pos_ == '\\' || static_cast<unsigned char>(*pos_) < 0x20) {
+        return false;
+      }
+      ++pos_;
+    }
+    if (pos_ == end_) return false;
+    *value = std::string_view(first, static_cast<std::size_t>(pos_ - first));
+    ++pos_;
+    return true;
+  }
+
+ private:
+  const char* pos_;
+  const char* end_;
+  std::string canonical_;  ///< number()'s scratch, reused across calls
+};
+
+/// A breakdown map, names strictly increasing: the order std::map writes.
+bool read_breakdown(LineScanner& in, std::map<std::string, double>* out) {
+  if (!in.literal('{')) return false;
+  if (in.literal('}')) return true;
+  std::string_view previous;
+  bool first = true;
+  do {
+    std::string_view name;
+    double value = 0;
+    if (!in.name(&name) || (!first && name <= previous) || !in.literal(':') ||
+        !in.number(&value)) {
+      return false;
+    }
+    out->emplace_hint(out->end(), name, value);
+    previous = name;
+    first = false;
+  } while (in.literal(','));
+  return in.literal('}');
 }
 
 }  // namespace
 
-bool CostCache::parse_memo_entry(const Json& parsed, Key* key,
-                                 MacroMetrics* m) {
-  if (!parsed.is_object() || !check_line_checksum(parsed) ||
-      !parsed.contains("k") || !parsed.contains("g") ||
-      !parsed.contains("m") || !parsed.contains("ab") ||
-      !parsed.contains("eb")) {
-    return false;
+void CostCache::append_entry_line(std::string& out, const Key& key,
+                                  const MacroMetrics& m) {
+  const std::size_t start = out.size();
+  out += "{\"ab\":";
+  append_breakdown(out, m.area_breakdown);
+  const std::size_t stamp = out.size();
+  out += ",\"eb\":";
+  append_breakdown(out, m.energy_breakdown);
+  out += ",\"g\":[";
+  for (std::size_t i = 0; i < m.gates.counts.size(); ++i) {
+    if (i > 0) out += ',';
+    append_integer(out, m.gates.counts[i]);
   }
-  const Json& k = parsed.at("k");
-  const Json& g = parsed.at("g");
-  const Json& v = parsed.at("m");
-  if (!k.is_array() || k.size() != 11 || !json_array_of_numbers(g, 8) ||
-      !json_array_of_numbers(v, kDoubleFields + 1)) {
-    return false;
+  out += "],\"k\":[";
+  std::apply(
+      [&out](const auto&... field) {
+        const char* separator = "";
+        ((out += std::exchange(separator, ","),
+          append_key_field(out, field)),
+         ...);
+      },
+      key);
+  out += "],\"m\":[";
+  for (const auto field : kMetricFields) {
+    append_number(out, m.*field);
+    out += ',';
   }
-  for (std::size_t i = 0; i < 9; ++i) {
-    if (!k.at(i).is_number()) return false;
-  }
-  if (!k.at(9).is_bool() || !k.at(10).is_bool()) return false;
+  append_integer(out, m.cycles_per_input);
+  out += "]}";
+  // The payload is complete: checksum it and splice "c" in where it sorts.
+  std::string checksum = ",\"c\":";
+  append_integer(checksum, fnv1a32(std::string_view(out).substr(start)));
+  out.insert(stamp, checksum);
+  out += '\n';
+}
 
-  *key = Key(static_cast<int>(k.at(0).as_int()),
-             static_cast<int>(k.at(1).as_int()),
-             static_cast<int>(k.at(2).as_int()),
-             static_cast<int>(k.at(3).as_int()),
-             static_cast<int>(k.at(4).as_int()), k.at(5).as_int(),
-             k.at(6).as_int(), k.at(7).as_int(), k.at(8).as_int(),
-             k.at(9).as_bool(), k.at(10).as_bool());
-  for (std::size_t i = 0; i < m->gates.counts.size(); ++i) {
-    m->gates.counts[i] = g.at(i).as_int();
+bool CostCache::parse_memo_entry(std::string_view line, Key* key,
+                                 MacroMetrics* m) {
+  LineScanner in(line);
+  if (!in.literal("{\"ab\":") || !read_breakdown(in, &m->area_breakdown)) {
+    return false;
   }
-  for (std::size_t i = 0; i < kDoubleFields; ++i) {
-    m->*kMetricFields[i] = v.at(i).as_number();
+  const char* const stamp = in.pos();
+  std::int64_t checksum = 0;
+  if (!in.literal(",\"c\":") || !in.integer(&checksum)) return false;
+  const char* const rest = in.pos();
+  std::int64_t fields[9];
+  bool flags[2];
+  if (!in.literal(",\"eb\":") || !read_breakdown(in, &m->energy_breakdown) ||
+      !in.literal(",\"g\":[") ||
+      !in.integers(m->gates.counts.data(), m->gates.counts.size()) ||
+      !in.literal("],\"k\":[") || !in.integers(fields, 9) ||
+      !in.literal(',') || !in.boolean(&flags[0]) || !in.literal(',') ||
+      !in.boolean(&flags[1]) || !in.literal("],\"m\":[")) {
+    return false;
   }
-  m->cycles_per_input = v.at(kDoubleFields).as_int();
-  return parse_breakdown(parsed.at("ab"), &m->area_breakdown) &&
-         parse_breakdown(parsed.at("eb"), &m->energy_breakdown);
+  for (const auto field : kMetricFields) {
+    if (!in.number(&(m->*field)) || !in.literal(',')) return false;
+  }
+  if (!in.integer(&m->cycles_per_input) || !in.literal("]}") || !in.done()) {
+    return false;
+  }
+  const std::string_view head(line.data(),
+                              static_cast<std::size_t>(stamp - line.data()));
+  const std::string_view tail(
+      rest, static_cast<std::size_t>(line.data() + line.size() - rest));
+  if (checksum != fnv1a32(tail, fnv1a32(head))) return false;
+  *key = Key(static_cast<int>(fields[0]), static_cast<int>(fields[1]),
+             static_cast<int>(fields[2]), static_cast<int>(fields[3]),
+             static_cast<int>(fields[4]), fields[5], fields[6], fields[7],
+             fields[8], flags[0], flags[1]);
+  return true;
 }
 
 bool CostCache::read_memo(const std::string& path,
@@ -322,9 +464,13 @@ bool CostCache::read_memo(const std::string& path,
   std::string line;
   bool have_header = false;
   while (std::getline(in, line)) {
-    if (trim(line).empty()) continue;
-    const auto parsed = Json::parse(line);
+    if (std::all_of(line.begin(), line.end(), [](unsigned char c) {
+          return std::isspace(c);
+        })) {
+      continue;
+    }
     if (!have_header) {
+      const auto parsed = Json::parse(line);
       if (!parsed || !parsed->is_object() || !parsed->contains(kMemoMarker)) {
         break;
       }
@@ -340,7 +486,7 @@ bool CostCache::read_memo(const std::string& path,
     // damage.
     Key key;
     MacroMetrics m;
-    if (!parsed || !parse_memo_entry(*parsed, &key, &m)) {
+    if (!parse_memo_entry(line, &key, &m)) {
       ++*corrupt_lines;
       continue;
     }
@@ -469,8 +615,7 @@ bool CostCache::save_impl(const std::string& path, std::string* error,
     for (const auto& [key, entry] : shard.table) {
       if (!entry.ready) continue;
       if (delta_only && entry.imported) continue;
-      text += entry_line(key, entry.metrics).dump();
-      text += '\n';
+      append_entry_line(text, key, entry.metrics);
     }
   }
 

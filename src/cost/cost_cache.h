@@ -27,7 +27,11 @@
 // half-written file under the real name.  Every entry line carries a
 // self-checksum ("c", util/json.h) computed over the rest of the line, so
 // in-place corruption — even a flipped digit that stays parseable JSON — is
-// detected and the line skipped, never served as a metric.  load() merges a
+// detected and the line skipped, never served as a metric.  Entry lines
+// have one text codec: save() formats each entry once, straight into the
+// file's text, and checksums the bytes it wrote; the reader scans exactly
+// that form and builds no Json, so a line in any other form — even valid
+// JSON whose checksum matches — counts as corrupt.  load() merges a
 // memo into the table (existing entries win; entries are identical for
 // matching fingerprints anyway), rejects files written under a different
 // fingerprint (different model backend included), and tolerates truncated
@@ -42,6 +46,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <vector>
 
@@ -143,9 +148,10 @@ class CostCache final : public CostModel {
   /// @p out_path, written atomically.  Each source is read through the same
   /// line reader as load(); the first line of each key wins (earlier
   /// sources win), and the winning lines' text is kept and written verbatim
-  /// in save()'s canonical shard-bucket/key order — so compacting files
-  /// that save()/save_delta() wrote produces byte-identical output to
-  /// loading them all into one cache and saving it.  Memory is the winning
+  /// in save()'s canonical shard-bucket/key order.  The reader takes only
+  /// lines in save()'s exact form, so compacting any files produces
+  /// byte-identical output to loading them all into one cache and saving
+  /// it.  Memory is the winning
   /// lines' text, about 645 B per entry.  Missing sources are skipped (at
   /// least one must exist); every source read must carry the same header
   /// fingerprint as the first (a mismatched file is an error — memos of
@@ -190,10 +196,15 @@ class CostCache final : public CostModel {
   static std::size_t shard_index_of(const Key& key);
   Shard& shard_of(const Key& key) const;
 
-  /// Parse one memo entry line (already JSON-parsed) into its key and
-  /// metrics — checksum, field shapes and types all verified; false means
-  /// the line is corrupt and must be skipped.
-  static bool parse_memo_entry(const Json& parsed, Key* key,
+  /// The memo codec (docs/FORMATS.md, "Entry lines").  append_entry_line
+  /// writes an entry's line, newline included, as Json's compact dump of
+  /// the entry object with its checksum "c" — without building a Json.
+  /// parse_memo_entry reads back exactly that form and nothing else: any
+  /// other text, even valid JSON with the right checksum, is corrupt (false)
+  /// and the line is skipped.
+  static void append_entry_line(std::string& out, const Key& key,
+                                const MacroMetrics& metrics);
+  static bool parse_memo_entry(std::string_view line, Key* key,
                                MacroMetrics* metrics);
 
   /// The one memo-file reader, shared by load() and compact_memo_files().

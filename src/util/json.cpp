@@ -4,6 +4,7 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
+#include <cstring>
 #include <system_error>
 
 #include "util/assert.h"
@@ -98,35 +99,73 @@ bool Json::operator==(const Json& other) const {
   return false;
 }
 
-namespace {
-
-void escape_into(std::string& out, const std::string& s) {
+void escape_into(std::string& out, std::string_view s) {
   out += '"';
-  for (char c : s) {
+  std::size_t run = 0;  // start of the pending bytes copied as they are
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const char c = s[i];
+    if (c != '"' && c != '\\' && static_cast<unsigned char>(c) >= 0x20) {
+      continue;
+    }
+    out.append(s.substr(run, i - run));
+    run = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
       case '\n': out += "\\n"; break;
       case '\t': out += "\\t"; break;
       case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += strfmt("\\u%04x", c);
-        } else {
-          out += c;
-        }
+      default: out += strfmt("\\u%04x", c);
     }
   }
+  out.append(s.substr(run));
   out += '"';
 }
 
-/// Append the JSON text of @p d (docs/FORMATS.md, "Numbers"): an integral
-/// |d| < 1e15 as a plain integer (negative zero as "-0"); any other finite
-/// d as the shortest %.{P}g, P <= 17, that parses back to the same binary64.
+namespace {
+
+/// The 52 stored mantissa bits of a binary64.
+constexpr std::uint64_t kMantissaMask = (std::uint64_t{1} << 52) - 1;
+
+/// Write std::to_chars' shortest scientific text [first, last) of a double
+/// ("-d.ddde+XX") to @p out as %.{D}g lays out its D significant digits:
+/// fixed notation when the exponent X satisfies -4 <= X < D, else the
+/// scientific text as it is.  A shortest form ends in a nonzero digit, so
+/// %g's trailing-zero strip has nothing to strip.  Returns the end.
+char* lay_out_general(char* out, const char* first, const char* last) {
+  if (*first == '-') *out++ = *first++;
+  const char* const mark = std::find(first, last, 'e');
+  const char* exponent_text = mark + 1;
+  if (*exponent_text == '+') ++exponent_text;
+  int exponent = 0;
+  std::from_chars(exponent_text, last, exponent);
+  // The digits after the first one ("ddd" of "d.ddd").
+  const char* const rest = mark - first > 1 ? first + 2 : mark;
+  const auto count = static_cast<int>(mark - rest) + 1;
+  if (exponent < -4 || exponent >= count) return std::copy(first, last, out);
+  if (exponent < 0) {
+    *out++ = '0';
+    *out++ = '.';
+    out = std::fill_n(out, -exponent - 1, '0');
+    *out++ = *first;
+    return std::copy(rest, mark, out);
+  }
+  *out++ = *first;
+  out = std::copy(rest, rest + exponent, out);
+  if (rest + exponent == mark) return out;
+  *out++ = '.';
+  return std::copy(rest + exponent, mark, out);
+}
+
+}  // namespace
+
 /// No P below the digit count D of the shortest round-trip form can round
-/// trip, so the search starts at D; it continues past D because the
-/// correctly rounded D-digit string need not be the round-trip one (the
-/// rounding interval of a power of two is asymmetric).
+/// trip.  A double whose mantissa field is nonzero has a symmetric rounding
+/// interval, so its shortest digits are also its correctly rounded D-digit
+/// ones: %.{D}g round-trips, and the shortest digits are laid out by %g's
+/// rule with no search.  A power of two has an asymmetric interval (the gap
+/// below is half the gap above), where the correctly rounded D-digit string
+/// need not round-trip, so the search starts at D and continues past it.
 void append_number(std::string& out, double d) {
   if (!std::isfinite(d)) {
     out += strfmt("%.17g", d);
@@ -135,7 +174,8 @@ void append_number(std::string& out, double d) {
   char buf[32];
   char* const first = buf;
   char* const last = buf + sizeof buf;
-  if (d == std::floor(d) && std::fabs(d) < 1e15) {
+  if (std::fabs(d) < 1e15 &&
+      d == static_cast<double>(static_cast<std::int64_t>(d))) {
     if (d == 0 && std::signbit(d)) {
       out += "-0";
       return;
@@ -147,6 +187,13 @@ void append_number(std::string& out, double d) {
   }
   char* const shortest =
       std::to_chars(first, last, d, std::chars_format::scientific).ptr;
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &d, sizeof bits);
+  if ((bits & kMantissaMask) != 0) {
+    char text[32];
+    out.append(text, lay_out_general(text, first, shortest));
+    return;
+  }
   const auto digits = static_cast<int>(
       std::count_if(first, std::find(first, shortest, 'e'),
                     [](char c) { return c >= '0' && c <= '9'; }));
@@ -164,8 +211,6 @@ void append_number(std::string& out, double d) {
       std::to_chars(first, last, d, std::chars_format::general, 17).ptr;
   out.append(first, text);
 }
-
-}  // namespace
 
 void Json::dump_impl(std::string& out, int indent, int depth) const {
   const bool pretty = indent >= 0;
@@ -223,6 +268,41 @@ std::string Json::dump(int indent) const {
   std::string out;
   dump_impl(out, indent, 0);
   return out;
+}
+
+NumberScan scan_number(const char* first, const char* last, const char** end,
+                       double* value) {
+  const char* p = first;
+  if (p < last && (*p == '-' || *p == '+')) ++p;
+  bool any = false;
+  const auto eat_digits = [&] {
+    while (p < last && *p >= '0' && *p <= '9') {
+      ++p;
+      any = true;
+    }
+  };
+  eat_digits();
+  if (p < last && *p == '.') {
+    ++p;
+    eat_digits();
+  }
+  if (p < last && (*p == 'e' || *p == 'E')) {
+    ++p;
+    if (p < last && (*p == '-' || *p == '+')) ++p;
+    eat_digits();
+  }
+  *end = p;
+  if (!any) return NumberScan::kNoDigits;
+  // from_chars reads the scanned span in place, the way strtod would past
+  // the sign it does not take ('+'), and ignores a dangling exponent marker
+  // ("1e" is 1).  A span it rejects (".e1"), overflow, and a nonzero
+  // literal that underflows to zero (a corrupted file whose digits were
+  // duplicated) are errors, never exceptions.
+  if (*first == '+') ++first;
+  if (std::from_chars(first, p, *value).ec != std::errc()) {
+    return NumberScan::kOutOfRange;
+  }
+  return NumberScan::kOk;
 }
 
 namespace {
@@ -427,41 +507,17 @@ class Parser {
   }
 
   std::optional<Json> parse_number() {
-    const std::size_t start = pos_;
-    if (pos_ < text_.size() && (text_[pos_] == '-' || text_[pos_] == '+'))
-      ++pos_;
-    bool any = false;
-    auto eat_digits = [&] {
-      while (pos_ < text_.size() &&
-             std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        ++pos_;
-        any = true;
-      }
-    };
-    eat_digits();
-    if (pos_ < text_.size() && text_[pos_] == '.') {
-      ++pos_;
-      eat_digits();
-    }
-    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-      if (pos_ < text_.size() && (text_[pos_] == '-' || text_[pos_] == '+'))
-        ++pos_;
-      eat_digits();
-    }
-    if (!any) {
+    const char* const first = text_.data() + pos_;
+    const char* end = first;
+    double value = 0;
+    const NumberScan scan =
+        scan_number(first, text_.data() + text_.size(), &end, &value);
+    pos_ += static_cast<std::size_t>(end - first);
+    if (scan == NumberScan::kNoDigits) {
       fail("expected number");
       return std::nullopt;
     }
-    // from_chars reads the scanned span in place, the way strtod would past
-    // the sign it does not take ('+'), and ignores a dangling exponent
-    // marker ("1e" is 1).  A span it rejects (".e1"), overflow, and a
-    // nonzero literal that underflows to zero (a corrupted file whose digits
-    // were duplicated) are parse errors, never exceptions out of parse().
-    const char* first = text_.data() + start;
-    if (*first == '+') ++first;
-    double value = 0;
-    if (std::from_chars(first, text_.data() + pos_, value).ec != std::errc()) {
+    if (scan == NumberScan::kOutOfRange) {
       fail("number out of range");
       return std::nullopt;
     }

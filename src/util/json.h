@@ -3,6 +3,10 @@
 // SEGA-DCIM emits machine-readable compilation reports (Pareto fronts, layout
 // summaries, experiment records) and reads user specs; a full third-party JSON
 // dependency is deliberately avoided to keep the compiler self-contained.
+//
+// The number and string codec under dump() and parse() is public too: the
+// cost memo writes and reads its entry lines as text through it
+// (cost/cost_cache.cpp), in exactly Json's forms, without building a Json.
 #pragma once
 
 #include <cstdint>
@@ -10,6 +14,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace sega {
@@ -87,6 +92,33 @@ class Json {
   std::vector<Json> arr_;
   std::map<std::string, Json> obj_;
 };
+
+// --- Number and string codec ---------------------------------------------
+
+/// Append the JSON text of @p d (docs/FORMATS.md, "Numbers"): an integral
+/// |d| < 1e15 as a plain integer (negative zero as "-0"); any other finite
+/// d as the shortest %.{P}g, P <= 17, that parses back to the same binary64;
+/// a non-finite d in its %.17g form ("inf", "nan"), which no reader takes.
+void append_number(std::string& out, double d);
+
+/// Append @p s as a quoted JSON string: '"', '\\' and control characters
+/// escaped, every other byte copied as is.
+void escape_into(std::string& out, std::string_view s);
+
+/// Outcome of scan_number.
+enum class NumberScan { kOk, kNoDigits, kOutOfRange };
+
+/// Scan the longest prefix of [first, last) that Json::parse's number
+/// grammar takes — an optional '-' or '+', digits, an optional fraction, an
+/// optional exponent — and read it into *value.  *end is set past the
+/// scanned span on every outcome; *value only on kOk.  kNoDigits: the span
+/// holds no digit (a bare sign, `inf`, `nan`); kOutOfRange: std::from_chars
+/// rejects the span (".e1"), it overflows, or a nonzero literal underflows
+/// to zero.  The grammar is lax ("+1", "5.", "1e" are numbers); a reader
+/// that wants one canonical form compares the span with append_number's
+/// text of *value.
+NumberScan scan_number(const char* first, const char* last, const char** end,
+                       double* value);
 
 // --- JSONL line integrity -------------------------------------------------
 //

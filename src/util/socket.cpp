@@ -172,9 +172,12 @@ LineReader::Status LineReader::read_line(std::string* line) {
   line->clear();
   bool discarding = false;
   for (;;) {
-    // Serve from the buffer first.
-    const std::size_t nl = buffer_.find('\n');
+    // Serve from the buffer first, searching only the bytes not yet
+    // searched: rescanning the whole buffer after every recv would make one
+    // n-byte line cost O(n^2 / chunk).
+    const std::size_t nl = buffer_.find('\n', scanned_);
     if (nl != std::string::npos) {
+      scanned_ = 0;
       if (discarding) {
         buffer_.erase(0, nl + 1);
         return Status::kTooLong;
@@ -183,11 +186,13 @@ LineReader::Status LineReader::read_line(std::string* line) {
       buffer_.erase(0, nl + 1);
       return Status::kOk;
     }
+    scanned_ = buffer_.size();
     if (!discarding && buffer_.size() > max_bytes_) {
       // The message already exceeds the cap with no terminator in sight:
       // stop accumulating and skip to the next '\n' so the connection can
       // continue with the following message.
       buffer_.clear();
+      scanned_ = 0;
       discarding = true;
     }
     if (eof_) {
@@ -211,6 +216,7 @@ LineReader::Status LineReader::read_line(std::string* line) {
           std::memchr(chunk, '\n', static_cast<std::size_t>(n)));
       if (pos != nullptr) {
         buffer_.assign(pos + 1, static_cast<const char*>(chunk) + n);
+        scanned_ = 0;
         return Status::kTooLong;
       }
       continue;

@@ -85,6 +85,7 @@ class LineReader {
   int fd_;
   std::size_t max_bytes_;
   std::string buffer_;
+  std::size_t scanned_ = 0;  ///< leading bytes of buffer_ known to hold no '\n'
   bool eof_ = false;
 };
 

@@ -178,8 +178,7 @@ std::string heartbeat_file_path(const std::string& checkpoint) {
   return checkpoint + ".hb";
 }
 
-std::uint32_t fnv1a32(const std::string& bytes) {
-  std::uint32_t hash = 2166136261u;  // FNV-1a offset basis
+std::uint32_t fnv1a32(std::string_view bytes, std::uint32_t hash) {
   for (const char c : bytes) {
     hash ^= static_cast<unsigned char>(c);
     hash *= 16777619u;  // FNV prime

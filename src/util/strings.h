@@ -6,6 +6,7 @@
 #include <functional>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace sega {
@@ -78,6 +79,9 @@ std::string heartbeat_file_path(const std::string& checkpoint);
 /// FNV-1a (32-bit) of @p bytes — the one content hash behind the JSONL
 /// line checksums, the calibration artifact digest and serve's memo delta
 /// file names.  Its values are persisted in those formats: never change it.
-std::uint32_t fnv1a32(const std::string& bytes);
+/// The hash is its own state, so fnv1a32(b, fnv1a32(a)) is the hash of the
+/// bytes of a followed by those of b.
+std::uint32_t fnv1a32(std::string_view bytes,
+                      std::uint32_t hash = 2166136261u /* offset basis */);
 
 }  // namespace sega

@@ -263,6 +263,26 @@ TEST_F(CliTempDir, SweepRejectsBadValues) {
   EXPECT_NE(r.err.find("--checkpont"), std::string::npos);
 }
 
+TEST_F(CliTempDir, SweepRejectsARepeatedGridEntry) {
+  // A cell is named by its (Wstore, precision) pair: a grid that lists
+  // either twice would run one cell twice and print two identical rows.
+  // Both spellings of one precision are the same column.
+  const std::vector<std::vector<std::string>> repeats = {
+      {"sweep", "--wstores", "4096", "--precisions", "INT8,INT8"},
+      {"sweep", "--wstores", "4096,8192,4096", "--precisions", "INT8"},
+      {"sweep", "--wstores", "4096", "--precisions", "FP16,half"}};
+  for (const auto& argv : repeats) {
+    const CliRun r = cli(argv);
+    EXPECT_EQ(r.code, 2) << argv[2] << " " << argv[4];
+    EXPECT_TRUE(r.out.empty()) << r.out;
+    EXPECT_NE(r.err.find("twice"), std::string::npos) << r.err;
+  }
+  const CliRun ok = cli({"sweep", "--wstores", "4096", "--precisions",
+                         "INT8,FP16", "--population", "8",
+                         "--generations", "2"});
+  EXPECT_EQ(ok.code, 0) << ok.err;
+}
+
 TEST_F(CliTempDir, ExploreWithCustomTechlib) {
   const auto tech_path = dir_ / "my.techlib";
   {

@@ -409,6 +409,17 @@ TEST(SweepSpecJsonTest, RoundTripsAndRejectsUnknownKeys) {
   EXPECT_FALSE(
       SweepSpec::from_json(*Json::parse(R"({"precisions": ["INT3"]})"))
           .has_value());
+  // A repeated grid entry names one cell twice.
+  EXPECT_FALSE(SweepSpec::from_json(
+                   *Json::parse(R"({"precisions": ["INT8", "int8"]})"), &error)
+                   .has_value());
+  EXPECT_NE(error.find("precisions lists INT8 twice"), std::string::npos)
+      << error;
+  EXPECT_FALSE(SweepSpec::from_json(
+                   *Json::parse(R"({"wstores": [4096, 8192, 4096]})"), &error)
+                   .has_value());
+  EXPECT_NE(error.find("wstores lists 4096 twice"), std::string::npos)
+      << error;
   // Explorer preconditions surface as parse errors, not aborts.
   EXPECT_FALSE(SweepSpec::from_json(*Json::parse(R"({"population": 2})"))
                    .has_value());

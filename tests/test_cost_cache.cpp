@@ -470,6 +470,72 @@ TEST(CostCacheTest, InPlaceValueCorruptionIsDetectedByLineChecksum) {
   EXPECT_EQ(model.evaluations(), 1u);
 }
 
+/// Three rewrites of an entry line save() wrote that stay valid JSON with
+/// the same canonical checksum — a space after a comma, the "g" and "k"
+/// members swapped, the first gate count written as "<n>.0" — but are not
+/// in save()'s exact form.
+std::vector<std::string> non_canonical_variants(const std::string& line) {
+  std::vector<std::string> out;
+  std::string spaced = line;
+  spaced.insert(spaced.find(',') + 1, " ");
+  out.push_back(spaced);
+  const std::size_t g = line.find(",\"g\":[");
+  const std::size_t k = line.find(",\"k\":[");
+  const std::size_t m = line.find(",\"m\":[");
+  EXPECT_TRUE(g < k && k < m) << line;
+  out.push_back(line.substr(0, g) + line.substr(k, m - k) +
+                line.substr(g, k - g) + line.substr(m));
+  std::string decimal = line;
+  const std::size_t count = g + 6;  // the first gate count
+  const std::size_t end = decimal.find_first_not_of("0123456789", count);
+  EXPECT_GT(end, count) << line;
+  EXPECT_EQ(decimal[end], ',') << line;
+  decimal.insert(end, ".0");
+  out.push_back(decimal);
+  return out;
+}
+
+TEST(CostCacheTest, OnlySavesExactFormLoadsEvenUnderAValidChecksum) {
+  // The reader takes entry lines in exactly the bytes save() writes.  A
+  // line that parses as JSON and whose canonical checksum matches, but
+  // that no writer in the repo produces, is corrupt: it is skipped and its
+  // point re-evaluated once, never served.
+  const Technology tech = Technology::tsmc28();
+  const DesignPoint dp = int8_point(32, 128, 16, 8);
+  CostCache writer(tech);
+  const MacroMetrics truth = writer.evaluate(dp);
+  const std::string path = temp_path("exact.memo.jsonl");
+  ASSERT_TRUE(writer.save(path));
+  const std::vector<std::string> lines = split(read_file(path), '\n');
+  ASSERT_EQ(lines.size(), 3u);  // header, one entry, final newline
+
+  const std::vector<std::string> variants = non_canonical_variants(lines[1]);
+  ASSERT_EQ(variants.size(), 3u);
+  for (const std::string& variant : variants) {
+    ASSERT_NE(variant, lines[1]);
+    const auto parsed = Json::parse(variant);
+    ASSERT_TRUE(parsed.has_value()) << variant;
+    EXPECT_TRUE(check_line_checksum(*parsed)) << variant;
+
+    const std::string variant_path = temp_path("exact.variant.memo.jsonl");
+    write_file(variant_path, lines[0] + "\n" + variant + "\n");
+    CountingCostModel model(tech);
+    CostCache reader(model);
+    std::string error;
+    ASSERT_TRUE(reader.load(variant_path, &error)) << error;
+    EXPECT_EQ(reader.size(), 0u) << variant;
+    expect_same_metrics(reader.evaluate(dp), truth);
+    EXPECT_EQ(model.evaluations(), 1u) << variant;
+
+    CostCache::CompactStats stats;
+    ASSERT_TRUE(CostCache::compact_memo_files(
+        {variant_path}, temp_path("exact.variant.out.jsonl"), &error, &stats))
+        << error;
+    EXPECT_EQ(stats.corrupt_lines, 1u) << variant;
+    EXPECT_EQ(stats.entries, 0u) << variant;
+  }
+}
+
 TEST(CostCacheTest, SeededRandomMutationsNeverCrashOrServeWrongMetrics) {
   // Adversarial persistence: replay dozens of seeded random byte-level
   // corruptions (truncation, deletion, duplication, overwrite, bit flip,
@@ -718,6 +784,15 @@ TEST(CostCacheCompactTest, ByteIdenticalToLoadAllThenSave) {
   CostCache c1(tech);
   c1.evaluate(int8_point(16, 128, 32, 4));
   ASSERT_TRUE(c1.save(s1));
+  // Shard 1 also carries, ahead of its own line, a rewrite of that line
+  // that is valid JSON under the same canonical checksum but not in save()'s
+  // form.  Both readers skip it, so the output stays what save() writes.
+  {
+    const std::vector<std::string> lines = split(read_file(s1), '\n');
+    ASSERT_EQ(lines.size(), 3u);
+    write_file(s1, lines[0] + "\n" + non_canonical_variants(lines[1])[0] +
+                       "\n" + lines[1] + "\n");
+  }
 
   const std::string out = temp_path("compact.out.memo.jsonl");
   std::string error;
@@ -728,7 +803,7 @@ TEST(CostCacheCompactTest, ByteIdenticalToLoadAllThenSave) {
   EXPECT_EQ(stats.files_merged, 3);
   EXPECT_EQ(stats.entries, 4u);
   EXPECT_EQ(stats.duplicates, 1u);
-  EXPECT_EQ(stats.corrupt_lines, 0u);
+  EXPECT_EQ(stats.corrupt_lines, 1u);
 
   // Reference: load everything into one cache, save it.  The streamed
   // compactor must reproduce those bytes exactly.

@@ -3,7 +3,8 @@
 # the §IV validation grid swept serial, parallel, checkpointed, resumed,
 # and memo-cached — every variant must emit a byte-identical CSV, because
 # thread count, checkpoint temperature, and cache temperature are all
-# non-result-affecting by design.
+# non-result-affecting by design — and a warm run's load-then-save must
+# leave the memo file byte-identical.
 #
 # usage: tools/ci/smoke_sweep_determinism.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -37,12 +38,15 @@ cmp serial.csv resumed.csv
   | grep -q "4/4 cells complete"
 
 # Persistent cost-cache memo: cold run writes it, warm run skips every
-# evaluation — both byte-identical to the serial reference.
+# evaluation — both byte-identical to the serial reference.  The warm run
+# loads the memo and saves it back: the file must round-trip byte for byte.
 "$SEGA" sweep "${GRID[@]}" --threads 8 \
   --cache-file cost.memo.jsonl > cached_cold.csv
 cmp serial.csv cached_cold.csv
+cp cost.memo.jsonl cost.memo.cold.jsonl
 "$SEGA" sweep "${GRID[@]}" --threads 8 \
   --cache-file cost.memo.jsonl > cached_warm.csv
 cmp serial.csv cached_warm.csv
+cmp cost.memo.cold.jsonl cost.memo.jsonl
 
 echo "OK: sweep determinism smoke"
