@@ -118,6 +118,7 @@ void BM_SweepShardedAndMerged(benchmark::State& state) {
 void BM_SweepResume(benchmark::State& state) {
   static const SweepSpec spec = [] {
     SweepSpec s;
+    s.wstores.clear();
     for (int i = 0; i < 1250; ++i) s.wstores.push_back(1024 + 8 * i);
     s.precisions = {precision_int2(),     precision_int4(),
                     precision_int8(),     precision_int16(),

@@ -364,12 +364,6 @@ bool build_sweep_spec(const std::map<std::string, std::string>& flags,
         err << "option value out of range\n";
         return false;
       }
-      if (std::find(spec->wstores.begin(), spec->wstores.end(), wstore) !=
-          spec->wstores.end()) {
-        err << "--wstores lists " << wstore << " twice; each Wstore names "
-            << "one grid row\n";
-        return false;
-      }
       spec->wstores.push_back(wstore);
     }
   }
@@ -383,12 +377,6 @@ bool build_sweep_spec(const std::map<std::string, std::string>& flags,
       const auto p = precision_from_name(trim(field));
       if (!p) {
         err << "unknown precision '" << trim(field) << "'\n";
-        return false;
-      }
-      if (std::find(spec->precisions.begin(), spec->precisions.end(), *p) !=
-          spec->precisions.end()) {
-        err << "--precisions lists " << p->name << " twice; each precision "
-            << "names one grid column\n";
         return false;
       }
       spec->precisions.push_back(*p);
@@ -417,6 +405,10 @@ bool build_sweep_spec(const std::map<std::string, std::string>& flags,
   }
   if (spec->wstores.empty()) {
     err << "option value out of range\n";
+    return false;
+  }
+  if (const auto repeat = spec->repeated_entry()) {
+    err << "--" << *repeat << "\n";
     return false;
   }
   return true;

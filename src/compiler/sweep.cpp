@@ -85,16 +85,7 @@ std::optional<SweepSpec> SweepSpec::from_json(const Json& json,
         if (!value.at(i).is_number() || value.at(i).as_int() < 1) {
           return spec_fail("wstores entries must be positive integers", error);
         }
-        const std::int64_t wstore = value.at(i).as_int();
-        if (std::find(spec.wstores.begin(), spec.wstores.end(), wstore) !=
-            spec.wstores.end()) {
-          return spec_fail(
-              strfmt("wstores lists %lld twice; each Wstore names one grid "
-                     "row",
-                     static_cast<long long>(wstore)),
-              error);
-        }
-        spec.wstores.push_back(wstore);
+        spec.wstores.push_back(value.at(i).as_int());
       }
     } else if (key == "precisions") {
       if (!value.is_array() || value.size() == 0) {
@@ -110,14 +101,6 @@ std::optional<SweepSpec> SweepSpec::from_json(const Json& json,
           return spec_fail(strfmt("unknown precision '%s'",
                                   value.at(i).as_string().c_str()),
                            error);
-        }
-        if (std::find(spec.precisions.begin(), spec.precisions.end(), *p) !=
-            spec.precisions.end()) {
-          return spec_fail(
-              strfmt("precisions lists %s twice; each precision names one "
-                     "grid column",
-                     p->name.c_str()),
-              error);
         }
         spec.precisions.push_back(*p);
       }
@@ -164,7 +147,27 @@ std::optional<SweepSpec> SweepSpec::from_json(const Json& json,
   if (spec.shard.index >= spec.shard.count) {
     return spec_fail("shard_index must be < shard_count", error);
   }
+  if (const auto repeat = spec.repeated_entry()) {
+    return spec_fail(*repeat, error);
+  }
   return spec;
+}
+
+std::optional<std::string> SweepSpec::repeated_entry() const {
+  for (auto w = wstores.begin(); w != wstores.end(); ++w) {
+    if (std::find(wstores.begin(), w, *w) != w) {
+      return strfmt("wstores lists %lld twice; each Wstore names one grid row",
+                    static_cast<long long>(*w));
+    }
+  }
+  for (auto p = precisions.begin(); p != precisions.end(); ++p) {
+    if (std::find(precisions.begin(), p, *p) != p) {
+      return strfmt(
+          "precisions lists %s twice; each precision names one grid column",
+          p->name.c_str());
+    }
+  }
+  return std::nullopt;
 }
 
 Json SweepSpec::to_json() const {
@@ -252,12 +255,7 @@ struct GridCell {
 };
 
 std::vector<GridCell> build_grid(const SweepSpec& spec) {
-  for (auto w = spec.wstores.begin(); w != spec.wstores.end(); ++w) {
-    SEGA_EXPECTS(std::find(spec.wstores.begin(), w, *w) == w);
-  }
-  for (auto p = spec.precisions.begin(); p != spec.precisions.end(); ++p) {
-    SEGA_EXPECTS(std::find(spec.precisions.begin(), p, *p) == p);
-  }
+  SEGA_EXPECTS(!spec.repeated_entry());
   std::vector<GridCell> grid;
   grid.reserve(spec.wstores.size() * spec.precisions.size());
   for (const std::int64_t wstore : spec.wstores) {

@@ -132,6 +132,11 @@ struct SweepSpec {
   /// keys and a repeated Wstore or precision are rejected.
   static std::optional<SweepSpec> from_json(const Json& json,
                                             std::string* error = nullptr);
+
+  /// The diagnostic for the first Wstore or precision the grid lists twice
+  /// ("wstores lists 4096 twice; ..."), or nullopt when each is listed once.
+  /// from_json and the sweep flag parser both reject a grid this flags.
+  std::optional<std::string> repeated_entry() const;
   Json to_json() const;
 };
 

@@ -1,7 +1,5 @@
 #include "cost/cost_cache.h"
 
-#include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <cstring>
 #include <filesystem>
@@ -464,11 +462,7 @@ bool CostCache::read_memo(const std::string& path,
   std::string line;
   bool have_header = false;
   while (std::getline(in, line)) {
-    if (std::all_of(line.begin(), line.end(), [](unsigned char c) {
-          return std::isspace(c);
-        })) {
-      continue;
-    }
+    if (trim(line).empty()) continue;
     if (!have_header) {
       const auto parsed = Json::parse(line);
       if (!parsed || !parsed->is_object() || !parsed->contains(kMemoMarker)) {

@@ -101,24 +101,21 @@ bool Json::operator==(const Json& other) const {
 
 void escape_into(std::string& out, std::string_view s) {
   out += '"';
-  std::size_t run = 0;  // start of the pending bytes copied as they are
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    const char c = s[i];
-    if (c != '"' && c != '\\' && static_cast<unsigned char>(c) >= 0x20) {
-      continue;
-    }
-    out.append(s.substr(run, i - run));
-    run = i + 1;
+  for (char c : s) {
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
       case '\n': out += "\\n"; break;
       case '\t': out += "\\t"; break;
       case '\r': out += "\\r"; break;
-      default: out += strfmt("\\u%04x", c);
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          out += strfmt("\\u%04x", c);
+        } else {
+          out += c;
+        }
     }
   }
-  out.append(s.substr(run));
   out += '"';
 }
 
