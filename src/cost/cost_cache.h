@@ -151,14 +151,13 @@ class CostCache final : public CostModel {
   /// in save()'s canonical shard-bucket/key order.  The reader takes only
   /// lines in save()'s exact form, so compacting any files produces
   /// byte-identical output to loading them all into one cache and saving
-  /// it.  Memory is the winning
-  /// lines' text, about 645 B per entry.  Missing sources are skipped (at
-  /// least one must exist); every source read must carry the same header
-  /// fingerprint as the first (a mismatched file is an error — memos of
-  /// different models/technologies/conditions must never be merged);
-  /// corrupt entry lines are skipped and counted.  No model is needed: the
-  /// fingerprint of record is the first source's header, copied through
-  /// unchanged.
+  /// it.  Memory is the winning lines' text, about 645 B per entry.
+  /// Missing sources are skipped (at least one must exist); every source
+  /// read must carry the same header fingerprint as the first (a mismatched
+  /// file is an error — memos of different models/technologies/conditions
+  /// must never be merged); corrupt entry lines are skipped and counted.
+  /// No model is needed: the fingerprint of record is the first source's
+  /// header, copied through unchanged.
   static bool compact_memo_files(const std::vector<std::string>& sources,
                                  const std::string& out_path,
                                  std::string* error = nullptr,
