@@ -224,7 +224,7 @@ namespace {
 constexpr const char* kMemoMarker = "sega_cost_memo";
 
 /// The doubles of an entry's "m" array, in order; cycles_per_input follows
-/// them as the last element.  append_entry_line and parse_memo_entry both
+/// them as the last element.  append_memo_entry and parse_memo_entry both
 /// walk this one table, so writer and reader cannot disagree on the order.
 constexpr double MacroMetrics::*kMetricFields[] = {
     &MacroMetrics::area_gates,          &MacroMetrics::delay_gates,
@@ -265,7 +265,7 @@ void append_breakdown(std::string& out,
   out += '}';
 }
 
-/// Reads an entry line left to right in exactly the form append_entry_line
+/// Reads an entry line left to right in exactly the form append_memo_entry
 /// writes: each call consumes one expected piece or fails, and any failure
 /// makes the line corrupt.
 class LineScanner {
@@ -375,7 +375,7 @@ bool read_breakdown(LineScanner& in, std::map<std::string, double>* out) {
 
 }  // namespace
 
-void CostCache::append_entry_line(std::string& out, const Key& key,
+void CostCache::append_memo_entry(std::string& out, const Key& key,
                                   const MacroMetrics& m) {
   const std::size_t start = out.size();
   out += "{\"ab\":";
@@ -609,7 +609,7 @@ bool CostCache::save_impl(const std::string& path, std::string* error,
     for (const auto& [key, entry] : shard.table) {
       if (!entry.ready) continue;
       if (delta_only && entry.imported) continue;
-      append_entry_line(text, key, entry.metrics);
+      append_memo_entry(text, key, entry.metrics);
     }
   }
 

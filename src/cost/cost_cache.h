@@ -195,13 +195,13 @@ class CostCache final : public CostModel {
   static std::size_t shard_index_of(const Key& key);
   Shard& shard_of(const Key& key) const;
 
-  /// The memo codec (docs/FORMATS.md, "Entry lines").  append_entry_line
+  /// The memo codec (docs/FORMATS.md, "Entry lines").  append_memo_entry
   /// writes an entry's line, newline included, as Json's compact dump of
   /// the entry object with its checksum "c" — without building a Json.
   /// parse_memo_entry reads back exactly that form and nothing else: any
   /// other text, even valid JSON with the right checksum, is corrupt (false)
   /// and the line is skipped.
-  static void append_entry_line(std::string& out, const Key& key,
+  static void append_memo_entry(std::string& out, const Key& key,
                                 const MacroMetrics& metrics);
   static bool parse_memo_entry(std::string_view line, Key* key,
                                MacroMetrics* metrics);
