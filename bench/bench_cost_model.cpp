@@ -18,6 +18,7 @@
 #include "cost/layout_cost.h"
 #include "cost/rtl_cost_model.h"
 #include "layout/floorplan.h"
+#include "layout/wirelength.h"
 #include "rtl/harness.h"
 #include "rtl/macro_builder.h"
 #include "rtl/sta.h"
@@ -223,6 +224,21 @@ void BM_Floorplan(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Floorplan);
+
+// Floorplan plus HPWL — the two layout-stage steps after elaboration — on
+// BM_LayoutStage's macro, elaborated once outside the loop.
+void BM_FloorplanHpwl(benchmark::State& state) {
+  const Technology tech = Technology::tsmc28();
+  DesignPoint dp = fig6("INT8");
+  dp.h = 16;
+  dp.l = 32;
+  const DcimMacro macro = build_dcim_macro(dp);
+  for (auto _ : state) {
+    const MacroLayout layout = floorplan_macro(tech, macro);
+    benchmark::DoNotOptimize(estimate_wirelength(layout, macro.netlist));
+  }
+}
+BENCHMARK(BM_FloorplanHpwl);
 
 // Static timing of the macro BM_Floorplan places: levelize, then propagate
 // arrival times — the delay measurement of every RTL evaluation.

@@ -55,9 +55,9 @@ std::string write_def(const MacroLayout& layout, const Netlist& nl) {
                 db(mem->x_um), db(mem->y_um));
   for (const auto& r : layout.regions) {
     for (const auto& pc : r.placement.cells) {
-      out += strfmt("- u%zu %s + FIXED ( %lld %lld ) N ;\n", pc.cell_index,
+      out += strfmt("- u%u %s + FIXED ( %lld %lld ) N ;\n", pc.cell_index,
                     def_cell_name(nl.cell_kind(pc.cell_index)),
-                    db(r.x_um + pc.x), db(r.y_um + pc.y));
+                    db(r.x_um + pc.x), db(r.y_um + r.placement.y_of(pc)));
     }
   }
   out += "END COMPONENTS\n";

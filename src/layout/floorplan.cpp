@@ -54,34 +54,21 @@ RegionLayout tile_memory(const Technology& tech, const DcimMacro& macro,
   return mem;
 }
 
-RegionLayout place_region(const std::string& name, const Technology& tech,
-                          const Netlist& nl,
-                          const std::vector<std::size_t>& cells,
-                          double target_width, const PlacerOptions& base) {
-  RegionLayout region;
-  region.name = name;
-  region.cell_count = static_cast<std::int64_t>(cells.size());
-  if (cells.empty()) return region;
-
-  std::array<double, kCellKindCount> width_of{};
-  for (int k = 0; k < kCellKindCount; ++k) {
-    width_of[static_cast<std::size_t>(k)] = cell_tile_width(
-        tech, static_cast<CellKind>(k), base.row_height_um);
-  }
-  std::vector<double> widths;
-  widths.reserve(cells.size());
-  for (const std::size_t ci : cells) {
-    widths.push_back(width_of[static_cast<std::size_t>(nl.cell_kind(ci))]);
-  }
+/// Pack a region whose placement already holds its tiles (netlist index and
+/// width each, in netlist order) at @p target_width.
+void place_region(double target_width, const PlacerOptions& base,
+                  RegionLayout* region) {
+  RowPlacement& placement = region->placement;
+  region->cell_count = static_cast<std::int64_t>(placement.cells.size());
+  if (placement.cells.empty()) return;
   PlacerOptions opt = base;
   opt.target_width_um = target_width;
-  region.placement = place_rows(widths, cells, opt);
-  region.width_um = target_width > 0.0
-                        ? std::max(target_width, region.placement.width_um)
-                        : region.placement.width_um;
-  region.height_um = region.placement.height_um;
-  region.cell_area_um2 = region.placement.cell_area_um2;
-  return region;
+  pack_rows(opt, &placement);
+  region->width_um = target_width > 0.0
+                         ? std::max(target_width, placement.width_um)
+                         : placement.width_um;
+  region->height_um = placement.height_um;
+  region->cell_area_um2 = placement.cell_area_um2;
 }
 
 }  // namespace
@@ -94,34 +81,64 @@ MacroLayout floorplan_macro(const Technology& tech, const DcimMacro& macro,
   // --- memory tile sets the macro width ---
   RegionLayout mem = tile_memory(tech, macro, options);
 
-  // --- partition the remaining cells (each group classified once) ---
+  // --- partition the remaining cells, classifying each cell once ---
+  // Each region's placement is allocated at its exact size (from the group
+  // census) and receives its tiles in netlist order, as the row placer
+  // packs them.  The area fold visits compute cells, then peripheral cells,
+  // each in netlist order.
   const Netlist& nl = macro.netlist;
-  std::vector<std::uint8_t> compute_group(nl.group_names().size());
-  for (std::size_t g = 0; g < compute_group.size(); ++g) {
-    compute_group[g] = is_compute_group(nl.group_names()[g]) ? 1 : 0;
+  const double row_height = options.placer.row_height_um;
+  std::array<double, kCellKindCount> width_of{};
+  std::array<double, kCellKindCount> area_of{};
+  for (int k = 0; k < kCellKindCount; ++k) {
+    const auto kind = static_cast<CellKind>(k);
+    width_of[static_cast<std::size_t>(k)] =
+        cell_tile_width(tech, kind, row_height);
+    area_of[static_cast<std::size_t>(k)] = tech.area_um2(tech.cell(kind).area);
   }
-  std::vector<std::size_t> compute_cells;
-  std::vector<std::size_t> periph_cells;
-  for (std::size_t ci = 0; ci < nl.cells().size(); ++ci) {
-    if (nl.cell_kind(ci) == CellKind::kSram) continue;
-    const auto g = static_cast<std::size_t>(nl.cell_group(ci));
-    (compute_group[g] != 0 ? compute_cells : periph_cells).push_back(ci);
+  const std::vector<GateCount> by_group = nl.census_by_group();
+  std::vector<std::uint8_t> compute_group(by_group.size());
+  std::size_t compute_count = 0;
+  std::size_t periph_count = 0;
+  for (std::size_t g = 0; g < by_group.size(); ++g) {
+    compute_group[g] = is_compute_group(nl.group_names()[g]) ? 1 : 0;
+    const auto placed = static_cast<std::size_t>(
+        by_group[g].total() - by_group[g][CellKind::kSram]);
+    (compute_group[g] != 0 ? compute_count : periph_count) += placed;
+  }
+  RegionLayout compute;
+  compute.name = "compute";
+  RegionLayout periph;
+  periph.name = "peripherals";
+  std::vector<PlacedCell>& compute_cells = compute.placement.cells;
+  std::vector<PlacedCell>& periph_cells = periph.placement.cells;
+  compute_cells.resize(compute_count);
+  periph_cells.resize(periph_count);
+  PlacedCell* next_compute = compute_cells.data();
+  PlacedCell* next_periph = periph_cells.data();
+  double other_area = 0.0;
+  const std::size_t cell_count = nl.cells().size();
+  for (std::size_t ci = 0; ci < cell_count; ++ci) {
+    const auto kind = static_cast<std::size_t>(nl.cell_kind(ci));
+    if (kind == static_cast<std::size_t>(CellKind::kSram)) continue;
+    PlacedCell* tile = nullptr;
+    if (compute_group[static_cast<std::size_t>(nl.cell_group(ci))] != 0) {
+      tile = next_compute++;
+      other_area += area_of[kind];
+    } else {
+      tile = next_periph++;
+    }
+    tile->cell_index = static_cast<std::uint32_t>(ci);
+    tile->width = width_of[kind];
+  }
+  SEGA_ASSERT(next_compute == compute_cells.data() + compute_count &&
+              next_periph == periph_cells.data() + periph_count);
+  for (const PlacedCell& pc : periph_cells) {
+    other_area += area_of[static_cast<std::size_t>(nl.cell_kind(pc.cell_index))];
   }
 
   // Common region width: wide enough for the memory tile, and wide enough
   // that the stacked macro approaches the target aspect ratio.
-  std::array<double, kCellKindCount> area_of{};
-  for (int k = 0; k < kCellKindCount; ++k) {
-    area_of[static_cast<std::size_t>(k)] =
-        tech.area_um2(tech.cell(static_cast<CellKind>(k)).area);
-  }
-  double other_area = 0.0;
-  for (const std::size_t ci : compute_cells) {
-    other_area += area_of[static_cast<std::size_t>(nl.cell_kind(ci))];
-  }
-  for (const std::size_t ci : periph_cells) {
-    other_area += area_of[static_cast<std::size_t>(nl.cell_kind(ci))];
-  }
   const double est_total =
       mem.width_um * mem.height_um +
       other_area / options.placer.target_utilization;
@@ -129,10 +146,8 @@ MacroLayout floorplan_macro(const Technology& tech, const DcimMacro& macro,
       std::sqrt(est_total * options.target_aspect);
   const double region_width = std::max(mem.width_um, aspect_width);
 
-  RegionLayout compute = place_region("compute", tech, nl, compute_cells,
-                                      region_width, options.placer);
-  RegionLayout periph = place_region("peripherals", tech, nl, periph_cells,
-                                     region_width, options.placer);
+  place_region(region_width, options.placer, &compute);
+  place_region(region_width, options.placer, &periph);
 
   // --- vertical stack: peripherals / compute / memory, common width ---
   const double width =

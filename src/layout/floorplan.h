@@ -12,6 +12,10 @@
 // memory array tile; compute and peripheral regions are row-placed at that
 // width.  This mirrors "the layout can be merged by a script considering
 // the relationship of these three parts" (§III-C).
+//
+// Each non-SRAM cell is classified once and written straight into its
+// region's placement, which the group census sizes exactly; pack_rows then
+// places the tiles where they are.  The memory region holds no placement.
 #pragma once
 
 #include <map>

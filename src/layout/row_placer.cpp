@@ -22,22 +22,40 @@ RowPlacement place_rows(const std::vector<double>& widths,
                         const std::vector<std::size_t>& cell_indices,
                         const PlacerOptions& options) {
   SEGA_EXPECTS(widths.size() == cell_indices.size());
+  RowPlacement out;
+  out.cells.reserve(widths.size());
+  for (std::size_t i = 0; i < widths.size(); ++i) {
+    SEGA_EXPECTS(cell_indices[i] <= UINT32_MAX);
+    PlacedCell pc;
+    pc.cell_index = static_cast<std::uint32_t>(cell_indices[i]);
+    pc.width = widths[i];
+    out.cells.push_back(pc);
+  }
+  pack_rows(options, &out);
+  return out;
+}
+
+void pack_rows(const PlacerOptions& options, RowPlacement* placement) {
+  SEGA_EXPECTS(placement != nullptr);
   SEGA_EXPECTS(options.row_height_um > 0.0);
   SEGA_EXPECTS(options.target_utilization > 0.0 &&
                options.target_utilization <= 1.0);
 
-  RowPlacement out;
+  RowPlacement& out = *placement;
   out.row_height_um = options.row_height_um;
-  if (widths.empty()) return out;
+  out.width_um = 0.0;
+  out.height_um = 0.0;
+  out.cell_area_um2 = 0.0;
+  out.rows = 0;
+  if (out.cells.empty()) return;
 
   double total_width = 0.0;
   double max_cell_width = 0.0;
-  for (const double w : widths) {
-    SEGA_EXPECTS(w > 0.0);
-    total_width += w + options.cell_spacing_um;
-    max_cell_width = std::max(max_cell_width, w);
+  for (const PlacedCell& pc : out.cells) {
+    SEGA_EXPECTS(pc.width > 0.0);
+    total_width += pc.width + options.cell_spacing_um;
+    max_cell_width = std::max(max_cell_width, pc.width);
   }
-  out.cell_area_um2 = 0.0;
 
   // Choose the row width: requested, or a square-ish region at the target
   // utilization.
@@ -50,32 +68,25 @@ RowPlacement place_rows(const std::vector<double>& widths,
   row_width = std::max(row_width, max_cell_width);
 
   double x = 0.0;
-  int row = 0;
+  std::uint32_t row = 0;
   double used_width = 0.0;
-  out.cells.reserve(widths.size());
-  for (std::size_t i = 0; i < widths.size(); ++i) {
-    if (x + widths[i] > row_width && x > 0.0) {
+  for (PlacedCell& pc : out.cells) {
+    if (x + pc.width > row_width && x > 0.0) {
       used_width = std::max(used_width, x);
       x = 0.0;
       ++row;
     }
-    PlacedCell pc;
-    pc.cell_index = cell_indices[i];
+    pc.row = row;
     pc.x = x;
-    pc.y = row * options.row_height_um;
-    pc.width = widths[i];
-    pc.height = options.row_height_um;
-    out.cells.push_back(pc);
-    out.cell_area_um2 += widths[i] * options.row_height_um;
-    x += widths[i] + options.cell_spacing_um;
+    out.cell_area_um2 += pc.width * options.row_height_um;
+    x += pc.width + options.cell_spacing_um;
   }
   used_width = std::max(used_width, x);
 
-  out.rows = row + 1;
+  out.rows = static_cast<int>(row) + 1;
   out.width_um = used_width;
   out.height_um = out.rows * options.row_height_um;
   SEGA_ENSURES(out.utilization() <= 1.0 + 1e-9);
-  return out;
 }
 
 }  // namespace sega

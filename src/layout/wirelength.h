@@ -6,6 +6,13 @@
 // of its terminals (driver + sinks), using the placed cell positions; SRAM
 // bit cells sit inside the memory tile and are approximated at the tile
 // centre (their wiring is internal to the array).
+//
+// One walk over the placements, with no per-cell copy: each placed cell's
+// centre is computed once and folded into the boxes of its pins, then each
+// SRAM cell no region placed is folded in at the tile centre.  Boxes are
+// min/max folds over finite, positive coordinates, so the visiting order
+// changes no bit; totals are summed in net order.  A cell may be placed at
+// most once.
 #pragma once
 
 #include "layout/floorplan.h"

@@ -134,8 +134,8 @@ Bus build_shifter(Netlist& nl, const Bus& data, const Bus& sh, bool left) {
   SEGA_EXPECTS(sb >= ceil_log2(static_cast<std::uint64_t>(w)));
   const std::int64_t reach = static_cast<std::int64_t>(1) << sb;
   Bus out(data.size());
+  Bus candidates(static_cast<std::size_t>(reach));
   for (int j = 0; j < w; ++j) {
-    Bus candidates(static_cast<std::size_t>(reach));
     for (std::int64_t s = 0; s < reach; ++s) {
       const std::int64_t src = left ? j - s : j + s;
       candidates[static_cast<std::size_t>(s)] =
@@ -197,16 +197,19 @@ Bus build_adder_tree(Netlist& nl, const std::vector<Bus>& inputs) {
   SEGA_EXPECTS(!inputs.empty());
   SEGA_EXPECTS(is_pow2(inputs.size()));
   for (const auto& in : inputs) SEGA_EXPECTS(in.size() == inputs[0].size());
-  std::vector<Bus> level = inputs;
-  while (level.size() > 1) {
+  // Each level reads the previous one in place; the inputs are never copied.
+  const std::vector<Bus>* level = &inputs;
+  std::vector<Bus> sums;
+  while (level->size() > 1) {
     std::vector<Bus> next;
-    next.reserve(level.size() / 2);
-    for (std::size_t i = 0; i < level.size(); i += 2) {
-      next.push_back(build_adder(nl, level[i], level[i + 1]));
+    next.reserve(level->size() / 2);
+    for (std::size_t i = 0; i < level->size(); i += 2) {
+      next.push_back(build_adder(nl, (*level)[i], (*level)[i + 1]));
     }
-    level = std::move(next);
+    sums = std::move(next);
+    level = &sums;
   }
-  return level[0];
+  return (*level)[0];
 }
 
 Bus build_adder_tree_pipelined(Netlist& nl, const std::vector<Bus>& inputs,

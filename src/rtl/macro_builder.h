@@ -52,7 +52,14 @@ struct DcimMacro {
   explicit DcimMacro(std::string name) : netlist(std::move(name)) {}
 };
 
-/// Generate the macro netlist for a structurally valid design point.
+/// Generate the macro netlist for a structurally valid design point.  Its
+/// cell arrays are sized once, to dcim_macro_cell_count(dp).
 DcimMacro build_dcim_macro(const DesignPoint& dp);
+
+/// The number of cells build_dcim_macro(dp) elaborates, counted from the
+/// builders' structure alone (a postcondition of build_dcim_macro keeps the
+/// two equal).  Unlike the cost model's gate census, it counts the padded
+/// shifter and selector candidates and the FP glue the builders emit.
+std::size_t dcim_macro_cell_count(const DesignPoint& dp);
 
 }  // namespace sega

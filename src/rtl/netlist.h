@@ -130,6 +130,15 @@ class Netlist {
                        std::initializer_list<NetId> outputs);
   std::size_t add_cell(CellKind kind, Span<const NetId> inputs,
                        Span<const NetId> outputs);
+  /// Make room for @p cells cells, @p sram_cells of them SRAM bit cells, so
+  /// a generator that knows its cell count fills the arrays without ever
+  /// regrowing them.
+  void reserve_cells(std::size_t cells, std::size_t sram_cells) {
+    kinds_.reserve(cells);
+    groups_.reserve(cells);
+    pins_.reserve(kCellPinSlots * cells);
+    sram_cells_.reserve(sram_cells);
+  }
   CellList cells() const {
     return CellList(kinds_.data(), pins_.data(), kinds_.size());
   }

@@ -42,7 +42,7 @@ TEST(RowPlacerTest, SingleCell) {
   const RowPlacement p = place_rows({3.0}, {0}, opt);
   ASSERT_EQ(p.cells.size(), 1u);
   EXPECT_DOUBLE_EQ(p.cells[0].x, 0.0);
-  EXPECT_DOUBLE_EQ(p.cells[0].y, 0.0);
+  EXPECT_DOUBLE_EQ(p.y_of(p.cells[0]), 0.0);
   EXPECT_EQ(p.rows, 1);
   EXPECT_DOUBLE_EQ(p.height_um, opt.row_height_um);
 }
@@ -58,7 +58,7 @@ TEST(RowPlacerTest, NoOverlapsWithinRows) {
   // Group by row, check sorted non-overlapping intervals.
   for (std::size_t i = 0; i < p.cells.size(); ++i) {
     for (std::size_t j = i + 1; j < p.cells.size(); ++j) {
-      if (p.cells[i].y != p.cells[j].y) continue;
+      if (p.y_of(p.cells[i]) != p.y_of(p.cells[j])) continue;
       const auto& a = p.cells[i];
       const auto& b = p.cells[j];
       const bool disjoint =

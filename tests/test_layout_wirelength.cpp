@@ -62,15 +62,14 @@ TEST_F(WirelengthTest, TwoCellNetHandComputed) {
   layout.name = "pair";
   RegionLayout region;
   region.name = "compute";
+  region.placement.row_height_um = 1.0;  // every tile 1 um tall, row 0
   PlacedCell a, b;
   a.cell_index = 0;
   a.x = 0.0;
   a.width = 2.0;
-  a.height = 1.0;
   b.cell_index = 1;
   b.x = 10.0;
   b.width = 2.0;
-  b.height = 1.0;
   region.placement.cells = {a, b};
   layout.regions.push_back(region);
   layout.width_um = 20.0;
@@ -96,15 +95,14 @@ TEST_F(WirelengthTest, PlacedSramKeepsRowPlacerPosition) {
   layout.name = "placed_sram";
   RegionLayout compute;
   compute.name = "compute";
+  compute.placement.row_height_um = 1.0;  // every tile 1 um tall, row 0
   PlacedCell sram, inv;
   sram.cell_index = 0;
   sram.x = 0.0;
-  sram.width = 2.0;
-  sram.height = 1.0;  // centre (1, 0.5)
+  sram.width = 2.0;  // centre (1, 0.5)
   inv.cell_index = 1;
   inv.x = 10.0;
-  inv.width = 2.0;
-  inv.height = 1.0;  // centre (11, 0.5)
+  inv.width = 2.0;  // centre (11, 0.5)
   compute.placement.cells = {sram, inv};
   layout.regions.push_back(compute);
   RegionLayout memory;
@@ -141,15 +139,14 @@ TEST_F(WirelengthTest, ZeroSpanSramOnlyNetExcluded) {
   layout.name = "sram_pair";
   RegionLayout compute;
   compute.name = "compute";
+  compute.placement.row_height_um = 1.0;  // every tile 1 um tall, row 0
   PlacedCell a, b;
   a.cell_index = 2;
   a.x = 0.0;
   a.width = 2.0;
-  a.height = 1.0;
   b.cell_index = 3;
   b.x = 6.0;
   b.width = 2.0;
-  b.height = 1.0;
   compute.placement.cells = {a, b};
   layout.regions.push_back(compute);
   RegionLayout memory;

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "arch/space.h"
 #include "cost/macro_model.h"
 #include "util/rng.h"
 
@@ -175,6 +176,35 @@ TEST(MacroCensusTest, FpMacroCoreMatchesCostModel) {
   EXPECT_GE(rtl[CellKind::kMux2], metrics.gates[CellKind::kMux2]);
   // NOR: model counts the multipliers; RTL adds flush/zero gating.
   EXPECT_GE(rtl[CellKind::kNor], metrics.gates[CellKind::kNor]);
+}
+
+TEST(MacroCensusTest, CellCountPredictsEveryElaboratedCell) {
+  // build_dcim_macro sizes its netlist to dcim_macro_cell_count before it
+  // elaborates, so the count must be exact, beyond the cost model's census:
+  // padded shifter candidates, non-power-of-two accumulators, FP glue, the
+  // signed fusion subtractor and the pipelined tree's register banks.
+  for (const char* name :
+       {"INT2", "INT4", "INT8", "INT16", "FP8", "FP16", "BF16", "FP32"}) {
+    const auto all =
+        DesignSpace(256, *precision_from_name(name)).enumerate_all();
+    for (std::size_t i = 0; i < all.size(); i += all.size() / 5 + 1) {
+      DesignPoint dp = all[i];
+      SCOPED_TRACE(dp.to_string());
+      EXPECT_EQ(dcim_macro_cell_count(dp),
+                build_dcim_macro(dp).netlist.cells().size());
+      dp.pipelined_tree = true;
+      EXPECT_EQ(dcim_macro_cell_count(dp),
+                build_dcim_macro(dp).netlist.cells().size())
+          << "pipelined";
+      if (dp.arch == ArchKind::kMulCim) {
+        dp.pipelined_tree = false;
+        dp.signed_weights = true;
+        EXPECT_EQ(dcim_macro_cell_count(dp),
+                  build_dcim_macro(dp).netlist.cells().size())
+            << "signed";
+      }
+    }
+  }
 }
 
 TEST(MacroFpTest, FpMacroComputesAlignedMvm) {

@@ -16,6 +16,13 @@ Compares google-benchmark JSON result files against the checked-in
   baseline was recorded on different hardware.  Faster is always fine.
 * Benchmarks missing from the baseline are reported as new.
 
+A benchmark's time is the median of all its iteration rows across every
+given file (aggregate rows are skipped), so the results may be
+``--benchmark_repetitions`` of one process, one file per process, or both.
+Recording a noisy benchmark from several processes keeps one slow or fast
+process from deciding the comparison.  Each line says how many rows its
+median came from.
+
 Usage::
 
     tools/bench_compare.py BENCH_baseline.json build/bench_*.json
@@ -29,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 
 _UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
@@ -64,12 +72,13 @@ def main(argv):
     )
     args = parser.parse_args(argv)
 
-    current = {}
+    rows = {}
     errors = []
     for name, time_ns, error_occurred in load_results(args.results):
-        current[name] = time_ns
-        if error_occurred:
+        rows.setdefault(name, []).append(time_ns)
+        if error_occurred and name not in errors:
             errors.append(name)
+    current = {name: statistics.median(times) for name, times in rows.items()}
 
     if args.update:
         # Merge-preserve: entries already in the baseline but absent from
@@ -91,6 +100,9 @@ def main(argv):
         with open(args.baseline, "w", encoding="utf-8") as f:
             json.dump(payload, f, indent=2)
             f.write("\n")
+        for name in sorted(current):
+            print(f"set  {name}: {current[name] / 1e6:.3f} ms "
+                  f"(median of {len(rows[name])} rows)")
         print(f"bench_compare: wrote {len(merged)} baseline entries to "
               f"{args.baseline} ({len(current)} from these results)")
         return 0
@@ -107,7 +119,8 @@ def main(argv):
             new.append(name)
             continue
         ratio = current[name] / baseline[name] if baseline[name] > 0 else 1.0
-        line = (f"{name}: {current[name] / 1e6:.3f} ms vs baseline "
+        line = (f"{name}: {current[name] / 1e6:.3f} ms (median of "
+                f"{len(rows[name])} rows) vs baseline "
                 f"{baseline[name] / 1e6:.3f} ms ({ratio:.2f}x)")
         if "Checked" in name and ratio > args.fail_ratio:
             failures.append(f"REGRESSION {line}")
@@ -118,8 +131,9 @@ def main(argv):
     for name in sorted(set(baseline) - set(current)):
         warnings.append(f"WARN {name}: in baseline but not in results")
 
-    for line in new:
-        print(f"new  {line} (add with --update)")
+    for name in new:
+        print(f"new  {name}: {current[name] / 1e6:.3f} ms (median of "
+              f"{len(rows[name])} rows; add with --update)")
     for line in warnings:
         print(line)
     for line in failures:

@@ -3,8 +3,8 @@
 # with `--layout` *off* every sweep artifact must be byte-identical to a
 # run that never heard of the flag; with it *on* the stage must strictly
 # increase delay and energy on every grid cell, stay byte-repeatable at
-# any thread count, and never share memo/checkpoint state with the
-# layout-off world in either direction.
+# any thread count, write the pinned bytes below, and never share
+# memo/checkpoint state with the layout-off world in either direction.
 #
 # usage: tools/ci/smoke_layout.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -46,6 +46,26 @@ SEGA_THREADS=8 "$SEGA" "${SWEEP[@]}" --layout --out on_b --threads 0 \
   > on_b.csv
 cmp on_a.csv on_b.csv
 cmp on_a/sweep.json on_b/sweep.json
+
+# Pinned layout-on bytes: the layout_cell benchmark's cell (Wstore 256
+# INT8, seed 1, 160 evaluated points) writes exactly this memo and CSV.
+# Every floorplan, placement and HPWL bit reaches the memo's metrics, so a
+# change to that arithmetic, or to the elaborated netlist, moves a digest.
+# A change meant to alter layout-on numbers bumps kLayoutCostVersion and
+# re-records both digests in the same commit.
+LAYOUT_MEMO_SHA256=d69e38914fafcff8a66c8ab469ffab20533f30f0fee9dfb9b8d33369ae457b08
+LAYOUT_CSV_SHA256=048fe8c4679952f8ace9a965a27b156740013958298e10b97ae2fe0f7f2a0a5a
+"$SEGA" sweep --layout --wstores 256 --precisions INT8 --seed 1 --threads 1 \
+  --cache-file pinned.memo > pinned.csv
+for pair in "pinned.memo $LAYOUT_MEMO_SHA256" "pinned.csv $LAYOUT_CSV_SHA256"; do
+  read -r file want <<< "$pair"
+  got=$(sha256sum "$file" | cut -d' ' -f1)
+  if [ "$got" != "$want" ]; then
+    echo "error: layout-on $file sha256 $got, expected $want" >&2
+    exit 1
+  fi
+done
+echo "layout-on memo and CSV match their pinned digests"
 
 # The stage must bite: for every *design point* both runs evaluated (the
 # memos share at least the seed-identical initial populations), the
